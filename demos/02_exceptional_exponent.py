@@ -3,7 +3,8 @@
 mu(theta) bounds the measure of x in [X, 2X] where the short-interval prime
 count over (x, x + x^theta] strays from its expected value.  The calculator
 turns the exponent tables into a certified bracket via exact feasibility
-regions and interval branch-and-bound, then derives the prime-gap exponent
+regions and an exact candidate-point supremum (cell ends, critical points
+and crossings of the two moments), then derives the prime-gap exponent
 mu(theta) - theta.  Writes curve data for all four hypothesis modes.
 """
 

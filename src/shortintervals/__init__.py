@@ -10,17 +10,11 @@ The library has three layers:
   (``empirical``).
 """
 
-from .exact import (
-    BoundaryPoint,
-    Interval,
-    compare_boundary,
-    enclose_boundary,
-)
+from .exact import BoundaryPoint
 from .piecewise import (
     Piece,
     PiecewiseBound,
     RationalFunction,
-    enclose_rational_function,
     feasible_region,
     pointwise_min,
 )
@@ -71,7 +65,6 @@ __all__ = [
     "CurvePoint",
     "ExceptionalScan",
     "HypothesisMode",
-    "Interval",
     "LambdaSieve",
     "MomentStatistic",
     "MuBoundResult",
@@ -86,10 +79,7 @@ __all__ = [
     "astar_table",
     "certified_sup",
     "checksum_rows",
-    "compare_boundary",
     "default_zeros",
-    "enclose_boundary",
-    "enclose_rational_function",
     "exceptional_measure",
     "explicit_formula_psi",
     "feasible_region",

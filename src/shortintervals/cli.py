@@ -24,7 +24,6 @@ from .errors import (
     ParseError,
     ShortIntervalsError,
 )
-from .exact import Interval
 from .mu import mu_curve, mu_upper
 from .tables import HypothesisMode
 
@@ -160,7 +159,6 @@ def _cmd_mu(args) -> int:
         tol=args.tol,
         refined=not args.l2_only,
         pintz_max_n=args.sigma_cap_n,
-        node_budget=args.node_budget,
     )
     if args.format == "json":
         _dump_json(_mu_record(res), None)
@@ -191,7 +189,6 @@ def _cmd_curve(args) -> int:
         tol=args.tol,
         refined=not args.l2_only,
         pintz_max_n=args.sigma_cap_n,
-        threads=args.threads,
     )
     if args.format == "json":
         rec = {
@@ -236,7 +233,7 @@ def _cmd_table_dump(args) -> int:
         n = max(2, int(round(args.samples * (hi_f - lo_f) / cap_f)))
         for k in range(n):
             s = lo_f + (hi_f - lo_f) * k / n
-            v = -math.inf if p.rf is None else p.rf.enclose(Interval.point(s)).mid
+            v = -math.inf if p.rf is None else float(p.rf.eval_exact(Fraction(s)))
             samples.append((s, v))
     if args.format == "csv":
         lines = ["sigma,value"] + [f"{repr(s)},{_fnum(v)}" for s, v in samples]
@@ -381,7 +378,6 @@ def build_parser() -> _Parser:
                         help="certification tolerance (exact rational or decimal)")
     common.add_argument("--sigma-cap-n", type=int, default=argparse.SUPPRESS,
                         help="largest family index; sets the table right edge")
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
 
     p = _Parser(prog="shortintervals", description=__doc__.splitlines()[0],
                 parents=[common])
@@ -403,8 +399,6 @@ def build_parser() -> _Parser:
     q.add_argument("--mode", type=_mode_arg, default=HypothesisMode.UNCONDITIONAL)
     q.add_argument("--l2-only", action="store_true",
                    help="drop the fourth-moment term (weaker bound)")
-    q.add_argument("--node-budget", type=int, default=200_000,
-                   help="abort with a convergence error beyond this many nodes")
 
     q = sub("curve", help="bound on a theta grid; figure data")
     q.add_argument("--theta-min", type=_exact_arg, required=True)
@@ -470,7 +464,6 @@ _GLOBAL_DEFAULTS = {
     "format": "human",
     "tol": Fraction(1, 10**9),
     "sigma_cap_n": tables.DEFAULT_PINTZ_MAX_N,
-    "threads": 1,
 }
 
 

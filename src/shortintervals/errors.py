@@ -18,7 +18,7 @@ class DenominatorVanishes(ShortIntervalsError):
 
 
 class NonConvergence(ShortIntervalsError):
-    """Branch-and-bound exceeded its node budget before reaching tolerance."""
+    """A certified bracket cannot be made as narrow as the requested tolerance."""
 
 
 class InvalidFamilyIndex(ShortIntervalsError):

@@ -1,17 +1,15 @@
-"""Exact arithmetic primitives: rationals, quadratic surds, outward-rounded intervals.
+"""Exact arithmetic primitives: rationals, quadratic surds, directed rounding.
 
 Comparisons between table breakpoints must never consult floating point,
 because feasibility regions can degenerate to a single point.  Everything
 here reduces sign questions to integer arithmetic on ``fractions.Fraction``.
-Floating-point ``Interval`` values exist only to give fast, certified
-enclosures for the branch-and-bound optimizer.
+Floats appear only at the end, where ``float_down``/``float_up`` round an
+exact value outward into a certified bracket.
 """
 
 import math
 from fractions import Fraction
 from math import isqrt
-
-from .errors import DenominatorVanishes
 
 RationalLike = int | Fraction
 
@@ -91,94 +89,6 @@ def float_up(x: Fraction) -> float:
     if Fraction(f) < x:
         f = math.nextafter(f, math.inf)
     return f
-
-
-class Interval:
-    """Closed floating-point interval [lo, hi] with outward rounding.
-
-    Every arithmetic operation widens the result by one ulp in each
-    direction, so the interval always contains the exact real result.
-    """
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: float, hi: float):
-        if not lo <= hi:
-            raise ValueError(f"inverted interval [{lo}, {hi}]")
-        self.lo = lo
-        self.hi = hi
-
-    @classmethod
-    def point(cls, x: float) -> "Interval":
-        return cls(x, x)
-
-    @classmethod
-    def from_fraction(cls, x: Fraction) -> "Interval":
-        return cls(float_down(x), float_up(x))
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
-    def __repr__(self) -> str:
-        return f"Interval({self.lo!r}, {self.hi!r})"
-
-    def __add__(self, other: "Interval") -> "Interval":
-        return Interval(
-            math.nextafter(self.lo + other.lo, -math.inf),
-            math.nextafter(self.hi + other.hi, math.inf),
-        )
-
-    def __sub__(self, other: "Interval") -> "Interval":
-        return Interval(
-            math.nextafter(self.lo - other.hi, -math.inf),
-            math.nextafter(self.hi - other.lo, math.inf),
-        )
-
-    def __mul__(self, other: "Interval") -> "Interval":
-        p = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return Interval(
-            math.nextafter(min(p), -math.inf), math.nextafter(max(p), math.inf)
-        )
-
-    def __truediv__(self, other: "Interval") -> "Interval":
-        if other.lo <= 0.0 <= other.hi:
-            raise DenominatorVanishes(f"denominator interval {other} contains zero")
-        p = (
-            self.lo / other.lo,
-            self.lo / other.hi,
-            self.hi / other.lo,
-            self.hi / other.hi,
-        )
-        return Interval(
-            math.nextafter(min(p), -math.inf), math.nextafter(max(p), math.inf)
-        )
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
-    def scale(self, k: float) -> "Interval":
-        if k >= 0:
-            return Interval(
-                math.nextafter(self.lo * k, -math.inf),
-                math.nextafter(self.hi * k, math.inf),
-            )
-        return Interval(
-            math.nextafter(self.hi * k, -math.inf),
-            math.nextafter(self.lo * k, math.inf),
-        )
 
 
 def _sign(x: Fraction | int) -> int:
@@ -381,12 +291,8 @@ class BoundaryPoint:
             return self.p + self.q * lo_rt, self.p + self.q * hi_rt
         return self.p + self.q * hi_rt, self.p + self.q * lo_rt
 
-    def enclose(self, precision: int = 53) -> Interval:
-        lo, hi = self.enclose_fraction(precision)
-        return Interval(float_down(lo), float_up(hi))
-
     def __float__(self) -> float:
-        # fast approximation (a few ulp); enclose() gives certified bounds
+        # fast approximation (a few ulp); enclose_fraction() gives certified bounds
         if self.q == 0:
             return float(self.p)
         return float(self.p) + float(self.q) * math.sqrt(self.r)
@@ -415,13 +321,3 @@ def as_boundary(x: "BoundaryPoint | RationalLike | Fraction") -> BoundaryPoint:
     if isinstance(x, BoundaryPoint):
         return x
     return BoundaryPoint.rational(Fraction(x))
-
-
-def compare_boundary(a: BoundaryPoint, b: BoundaryPoint) -> int:
-    """Exact three-way comparison: -1 if a < b, 0 if equal, +1 if a > b."""
-    return as_boundary(a)._compare(b)
-
-
-def enclose_boundary(a: BoundaryPoint, precision: int = 53) -> Interval:
-    """Outward-rounded floating interval guaranteed to contain a."""
-    return as_boundary(a).enclose(precision)

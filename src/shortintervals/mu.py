@@ -7,8 +7,10 @@ A~*, the bound is
           : A~(s) >= 1/(1-t) },
 
 with the empty supremum equal to -infinity.  The constraint region is solved
-exactly; the supremum is bracketed by certified branch-and-bound.  Dropping
-the second (fourth-moment) term gives the weaker second-moment-only variant.
+exactly; on each cell the supremum is taken over exact candidate points
+(cell ends, critical points and crossings of the two moments), with
+irrational crossings bisected to the tolerance.  Dropping the second
+(fourth-moment) term gives the weaker second-moment-only variant.
 """
 
 from bisect import bisect_left, bisect_right
@@ -16,11 +18,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import inf
 
-from .errors import OutOfDomain
+from .errors import DomainMismatch, OutOfDomain
 from .exact import BoundaryPoint, as_boundary
 from .optimize import SupCell, SupResult, certified_sup
-from .piecewise import Piece, PiecewiseBound, RationalFunction, feasible_region
-from .polys import padd, pmul, pscale
+from .piecewise import PiecewiseBound, RationalFunction, feasible_region
+from .polys import ONE, Poly, padd, pdivmod, pgcd, pmul, pscale
 from .tables import DEFAULT_PINTZ_MAX_N, HypothesisMode, a_table, astar_table
 
 DEFAULT_TOL = Fraction(1, 10**9)
@@ -62,34 +64,50 @@ def mu4(sigma, theta, mode=HypothesisMode.UNCONDITIONAL, pintz_max_n=DEFAULT_PIN
     return _moment_value(a, sigma, theta, 4)
 
 
-def _moment_rf(piece_rf: RationalFunction, theta: Fraction, moment: int) -> RationalFunction:
-    """((1-t)(1-s)P + (m*s - m + 1) Q) / Q for the piece formula P/Q."""
-    one_minus_s = (Fraction(1), Fraction(-1))
+def _scaled_row(rf: RationalFunction) -> tuple[Poly, Poly]:
+    """(1-s)P/Q in lowest terms for the row formula P/Q."""
+    num = pmul((ONE, -ONE), rf.num)
+    g = pgcd(num, rf.den)
+    return pdivmod(num, g)[0], pdivmod(rf.den, g)[0]
+
+
+def _moment_rf(scaled: tuple[Poly, Poly], theta: Fraction, moment: int) -> RationalFunction:
+    """((1-t)G + (m*s - m + 1) H) / H for the scaled row G/H = (1-s)P/Q.
+
+    With G/H in lowest terms so is the result, since gcd((1-t)G, H) = 1.
+    """
+    g, h = scaled
     affine = (Fraction(1 - moment), Fraction(moment))
-    num = padd(
-        pscale(pmul(one_minus_s, piece_rf.num), 1 - theta),
-        pmul(affine, piece_rf.den),
-    )
-    return RationalFunction(num, piece_rf.den)
+    return RationalFunction(padd(pscale(g, 1 - theta), pmul(affine, h)), h)
 
 
 class _PieceIndex:
     """Float-keyed lookup of the pieces covering a sigma range.
 
     Binary search on approximate keys narrows to a couple of candidates,
-    which are then verified with exact comparisons.
+    which are then verified with exact comparisons.  The theta-independent
+    scaled row of a piece is computed on its first use, since rows outside
+    every feasible region (the family rows near 1) never need it.
     """
 
     def __init__(self, pw: PiecewiseBound):
         self.pieces = pw.pieces
         self.lo_keys = [float(p.lo) for p in pw.pieces]
+        self.scaled: dict[int, tuple[Poly, Poly] | None] = {}
 
-    def covering(self, x, y) -> list[Piece]:
+    def covering(self, x, y) -> list[tuple[Poly, Poly] | None]:
+        """Scaled rows (None for -inf) of the pieces covering [x, y]."""
         i = bisect_right(self.lo_keys, float(x))
         out = []
-        for p in self.pieces[max(0, i - 2) : i + 2]:
+        for k in range(max(0, i - 2), min(len(self.pieces), i + 2)):
+            p = self.pieces[k]
             if p.lo <= x and y <= p.hi:
-                out.append(p)
+                if k not in self.scaled:
+                    self.scaled[k] = None if p.rf is None else _scaled_row(p.rf)
+                out.append(self.scaled[k])
+        # dropping a feasible cell would under-estimate the sup: never allowed
+        if not out:
+            raise DomainMismatch(f"no table row covers [{x}, {y}]")
         return out
 
 
@@ -125,20 +143,14 @@ def objective_cells(
     cells: list[SupCell] = []
 
     def add_cell(x, y):
-        a_pieces = a_idx.covering(x, y)
-        # dropping a feasible cell would under-estimate the sup: never allowed
-        assert a_pieces, f"no table row covers [{x}, {y}]"
-        for pa in a_pieces:
-            if pa.rf is None:
+        for ga in a_idx.covering(x, y):
+            if ga is None:
                 continue
-            objs = [_moment_rf(pa.rf, theta, 2)]
+            objs = [_moment_rf(ga, theta, 2)]
             if refined:
-                astar_pieces = astar_idx.covering(x, y)
-                assert astar_pieces, f"no energy row covers [{x}, {y}]"
-                for ps in astar_pieces:
-                    if ps.rf is None:
-                        continue
-                    cells.append(SupCell(x, y, objs + [_moment_rf(ps.rf, theta, 4)]))
+                for gs in astar_idx.covering(x, y):
+                    if gs is not None:
+                        cells.append(SupCell(x, y, objs + [_moment_rf(gs, theta, 4)]))
             else:
                 cells.append(SupCell(x, y, objs))
 
@@ -163,7 +175,7 @@ class MuBoundResult:
 
     __slots__ = (
         "theta", "mode", "refined", "upper", "lower",
-        "witness_sigma", "witness_exact", "active", "tol", "nodes",
+        "witness_sigma", "witness_exact", "active", "tol",
     )
 
     def __init__(self, theta, mode, refined, sup: SupResult, tol):
@@ -181,7 +193,6 @@ class MuBoundResult:
         else:
             self.active = ACTIVE_L2
         self.tol = tol
-        self.nodes = sup.nodes
 
     @property
     def is_empty(self) -> bool:
@@ -203,7 +214,6 @@ def mu_upper(
     tol=DEFAULT_TOL,
     refined: bool = True,
     pintz_max_n: int = DEFAULT_PINTZ_MAX_N,
-    node_budget: int = 200_000,
 ) -> MuBoundResult:
     """Certified upper bound for mu(theta) under the given hypothesis.
 
@@ -214,7 +224,7 @@ def mu_upper(
     theta = _as_theta(theta)
     tol = Fraction(tol)
     cells = objective_cells(theta, mode, refined, pintz_max_n)
-    sup = certified_sup(cells, tol, node_budget)
+    sup = certified_sup(cells, tol)
     return MuBoundResult(theta, mode, refined, sup, tol)
 
 
@@ -248,25 +258,15 @@ def mu_curve(
     tol=DEFAULT_TOL,
     refined: bool = True,
     pintz_max_n: int = DEFAULT_PINTZ_MAX_N,
-    threads: int = 1,
 ) -> list[CurvePoint]:
     """mu_upper on a uniform theta grid (steps+1 points), in grid order.
 
     Grid points are exact rationals so endpoint constants are hit exactly.
-    Evaluations are independent; with threads > 1 they run concurrently but
-    the output is identical to the sequential result.
     """
-    grid = theta_grid(theta_min, theta_max, steps)
-
-    def one(t: Fraction) -> CurvePoint:
-        return CurvePoint(t, mu_upper(t, mode, tol, refined, pintz_max_n).upper)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, grid))
-    return [one(t) for t in grid]
+    return [
+        CurvePoint(t, mu_upper(t, mode, tol, refined, pintz_max_n).upper)
+        for t in theta_grid(theta_min, theta_max, steps)
+    ]
 
 
 def gap_exponent(

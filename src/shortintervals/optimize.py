@@ -1,19 +1,26 @@
 """Certified supremum of min-of-rational-functions over a union of cells.
 
-Branch and bound with outward-rounded interval enclosures: bisect cells,
-bound the objective on each cell, prune cells that cannot beat the best
-certified value found so far.  The returned bracket [lower, upper] always
-contains the true supremum; exact seed evaluations at cell endpoints make
-suprema attained at breakpoints (the common case for these tables) resolve
-immediately.
+Each closed cell is split at the exact roots of every objective's
+critical-point polynomial N'D - ND', so every objective is monotone between
+consecutive cuts.  There the maximum of the min lies at a cut or at a
+crossing of a non-decreasing and a non-increasing objective.  Cuts and
+crossings with rational or quadratic roots are evaluated exactly; other
+crossings are bisected on the sign of the difference polynomial until the
+value they bound is attained within tol/4.  The returned bracket
+[lower, upper] always contains the true supremum.
 """
 
-import heapq
 from fractions import Fraction
+from functools import cmp_to_key
+from itertools import product
 from math import inf
+from operator import itemgetter
 
-from .errors import NonConvergence
-from .exact import BoundaryPoint, Interval, as_boundary, float_down, float_up
+from .errors import DenominatorVanishes, NonConvergence
+from .exact import BoundaryPoint, as_boundary, float_down, float_up
+from .polys import ExactRoot, pderiv, pmul, pscale, psub, roots_in_closed_interval, sign_at
+
+_exact_cmp = cmp_to_key(lambda a, b: a._compare(b))
 
 
 class SupCell:
@@ -32,14 +39,13 @@ class SupCell:
 
 
 class SupResult:
-    __slots__ = ("upper", "lower", "witness", "active_index", "nodes")
+    __slots__ = ("upper", "lower", "witness", "active_index")
 
-    def __init__(self, upper, lower, witness, active_index, nodes=0):
+    def __init__(self, upper, lower, witness, active_index):
         self.upper = upper
         self.lower = lower
         self.witness = witness  # exact BoundaryPoint/Fraction or None
         self.active_index = active_index
-        self.nodes = nodes
 
     @property
     def is_empty(self) -> bool:
@@ -54,134 +60,131 @@ class SupResult:
 
 def _value_bounds(value) -> tuple[float, float]:
     if isinstance(value, BoundaryPoint):
-        iv = value.enclose(60)
-        return iv.lo, iv.hi
+        lo, hi = value.enclose_fraction(60)
+        return float_down(lo), float_up(hi)
     return float_down(value), float_up(value)
+
+
+def _argmin(values):
+    """(min value, first index attaining it), compared exactly."""
+    i = min(range(len(values)), key=values.__getitem__)
+    return values[i], i
 
 
 def _exact_min(objectives, point):
     """(min value, argmin index) over objectives, evaluated exactly."""
-    best = None
-    best_i = 0
-    for i, rf in enumerate(objectives):
-        v = rf.eval_exact(point)
-        if best is None or as_boundary(v) < as_boundary(best):
-            best, best_i = v, i
-    return best, best_i
+    return _argmin([rf.eval_exact(point) for rf in objectives])
 
 
-def _inner_point(cell: SupCell, a: float, b: float):
-    """An exact point of [cell.lo, cell.hi] within [a, b], or None.
-
-    The float cell may overhang the true cell by an ulp at either end; a
-    lower bound certified on [a, b] is only attained at a witness that lies
-    in both, so the overhang slivers yield no witness.
-    """
-    mid = Fraction(0.5 * (a + b))
-    if mid < cell.lo:
-        return cell.lo if not cell.lo > Fraction(b) else None
-    if mid > cell.hi:
-        return cell.hi if not cell.hi < Fraction(a) else None
-    return BoundaryPoint.rational(mid)
+def _point(x: BoundaryPoint):
+    return x.as_fraction() if x.is_rational else x
 
 
-def _cell_bounds(cell: SupCell, lo_f: float, hi_f: float) -> tuple[float, float]:
-    """(lower, upper) for min over objectives on the widened float cell.
-
-    The lower end bounds the objective at every point of the cell, so it is
-    a certified attained value for any witness inside.
-    """
-    iv = Interval(min(lo_f, hi_f), max(lo_f, hi_f))
-    lo = inf
-    hi = inf
+def _cuts(cell: SupCell):
+    """Sorted cuts of the cell, and the brackets of inexact critical points."""
+    cuts, brackets = [cell.lo, cell.hi], []
     for rf in cell.objectives:
-        enc = rf.enclose_tight(iv)
-        lo = min(lo, enc.lo)
-        hi = min(hi, enc.hi)
-    return lo, hi
+        if roots_in_closed_interval(rf.den, cell.lo, cell.hi):
+            raise DenominatorVanishes(f"pole of {rf} in [{cell.lo}, {cell.hi}]")
+        crit = psub(pmul(pderiv(rf.num), rf.den), pmul(rf.num, pderiv(rf.den)))
+        for root in roots_in_closed_interval(crit, cell.lo, cell.hi) if crit else ():
+            if isinstance(root, ExactRoot):
+                cuts.append(root.point)
+            else:
+                brackets.append((as_boundary(root.lo), as_boundary(root.hi)))
+                cuts += brackets[-1]
+    cuts.sort(key=_exact_cmp)
+    return [x for i, x in enumerate(cuts) if i == 0 or cuts[i - 1] < x], brackets
 
 
-def certified_sup(
-    cells: list[SupCell],
-    tol: Fraction | float,
-    node_budget: int = 200_000,
-) -> SupResult:
+def _bracket_bound(objectives, x, y, vx, vy, tol):
+    """A bound on min(objectives) over [x, y], where some objective has a
+    critical point: max(f(x), f(y)) + tol/2 for an f whose N - bound*D has
+    no root in [x, y]."""
+    bounds = []
+    for rf, a, b in zip(objectives, vx, vy):
+        bound = Fraction(_value_bounds(max(a, b))[1]) + tol / 2
+        level = psub(rf.num, pscale(rf.den, bound))
+        if not level or not roots_in_closed_interval(level, x, y):
+            bounds.append(bound)
+    if not bounds:
+        raise NonConvergence(f"cannot bound the objectives on [{x}, {y}] within tol")
+    return min(bounds)
+
+
+def _crossing(objectives, up, dn, i, j, x, y, tol, found, bounds):
+    """Candidate at the crossing of up-objective i and down-objective j in (x, y)."""
+    fi, fj = objectives[i], objectives[j]
+    diff = psub(pmul(fi.num, fj.den), pmul(fj.num, fi.den))
+    root = roots_in_closed_interval(diff, x, y)[0]
+    if isinstance(root, ExactRoot):
+        t = _point(root.point)
+        found.append((*_exact_min(objectives, t), t))
+        return
+    p, q = root.lo, root.hi
+    s_p = sign_at(diff, p)
+    while True:
+        vp = [rf.eval_exact(p) for rf in objectives]
+        vq = [rf.eval_exact(q) for rf in objectives]
+        # the min of the up-objectives rises and that of the down-objectives
+        # falls, so min(U(q), D(p)) bounds the objective on [p, q]
+        high = min([vq[u] for u in up] + [vp[d] for d in dn])
+        low, k = _argmin(vp)
+        if high - low <= tol / 4:
+            found.append((low, k, p))
+            bounds.append(high)
+            return
+        if float(p) == float(q):
+            raise NonConvergence(f"tol {float(tol):.3g} is below the float resolution")
+        m = (p + q) / 2
+        p, q = (m, q) if sign_at(diff, m) == s_p else (p, m)
+
+
+def _cell_sup(cell: SupCell, tol: Fraction, found: list, bounds: list):
+    """Append the cell's attained (value, index, point) candidates to found,
+    and the bounds on its bisected stretches to bounds."""
+    objectives = cell.objectives
+    cuts, brackets = _cuts(cell)
+    values = []
+    for x in cuts:
+        t = _point(x)
+        values.append([rf.eval_exact(t) for rf in objectives])
+        found.append((*_argmin(values[-1]), t))
+    for k in range(len(cuts) - 1):
+        x, y, vx, vy = cuts[k], cuts[k + 1], values[k], values[k + 1]
+        if any(p <= x and y <= q for p, q in brackets):
+            bounds.append(_bracket_bound(objectives, x, y, vx, vy, tol))
+            continue
+        # every objective is monotone on [x, y]; a constant one counts as both
+        up = [i for i in range(len(objectives)) if not vy[i] < vx[i]]
+        dn = [i for i in range(len(objectives)) if not vx[i] < vy[i]]
+        for i, j in product(up, dn):
+            if vx[i] < vx[j] and vy[j] < vy[i]:
+                _crossing(objectives, up, dn, i, j, x, y, tol, found, bounds)
+
+
+def certified_sup(cells: list[SupCell], tol: Fraction | float) -> SupResult:
     """Certified bracket for sup over all cells of min_i f_i(sigma).
 
     Guarantees lower <= sup <= upper and upper - lower <= tol on success;
-    the witness is an exact point whose objective value is >= lower.  An
-    empty cell list yields the empty-supremum convention (-inf).  Raises
-    NonConvergence when the node budget is exhausted first.
+    the witness is an exact point whose objective value is >= lower, and
+    active_index is the first objective attaining the min there.  An empty
+    cell list yields the empty-supremum convention (-inf).  Raises
+    DenominatorVanishes when an objective has a pole in a closed cell, and
+    NonConvergence when tol is narrower than the float bracket can be.
     """
     tol_f = float_down(Fraction(tol)) if not isinstance(tol, float) else tol
     if tol_f <= 0:
         raise ValueError("tol must be positive")
     if not cells:
         return SupResult(-inf, -inf, None, None)
-
-    lower = -inf
-    witness = None
-    witness_cell = None
-    active = None
-    residual_upper = -inf
-    heap: list = []
-    seq = 0
-
-    def offer_exact(value, point, idx):
-        nonlocal lower, witness, witness_cell, active
-        lo_f, _ = _value_bounds(value)
-        if lo_f > lower:
-            lower, witness, witness_cell, active = lo_f, point, None, idx
-
-    def offer_bound(lb, cell, a, b):
-        nonlocal lower, witness, witness_cell, active
-        if lb > lower:
-            pt = _inner_point(cell, a, b)
-            if pt is not None:
-                lower, witness, witness_cell, active = lb, pt, cell, None
-
+    tol = Fraction(tol)
+    found, bounds = [], []
     for cell in cells:
-        degenerate = cell.lo == cell.hi
-        for pt in (cell.lo,) if degenerate else (cell.lo, cell.hi):
-            v, i = _exact_min(cell.objectives, pt)
-            offer_exact(v, pt, i)
-            if degenerate:
-                residual_upper = max(residual_upper, _value_bounds(v)[1])
-        if not degenerate:
-            lo_f = cell.lo.enclose(60).lo
-            hi_f = cell.hi.enclose(60).hi
-            lb, ub = _cell_bounds(cell, lo_f, hi_f)
-            offer_bound(lb, cell, lo_f, hi_f)
-            heapq.heappush(heap, (-ub, seq, lo_f, hi_f, cell))
-            seq += 1
-
-    pops = 0
-    while True:
-        top = -heap[0][0] if heap else -inf
-        upper = max(lower, residual_upper, top)
-        if upper - lower <= tol_f:
-            if active is None and witness_cell is not None:
-                active = _exact_min(witness_cell.objectives, witness)[1]
-            return SupResult(upper, lower, witness, active, pops)
-        if not heap:
-            raise NonConvergence(
-                f"residual cells leave gap {upper - lower:.3g} > tol {tol_f:.3g}"
-            )
-        neg_ub, _, lo_f, hi_f, cell = heapq.heappop(heap)
-        if -neg_ub <= lower:
-            continue
-        pops += 1
-        if pops > node_budget:
-            raise NonConvergence(f"node budget {node_budget} exhausted")
-
-        mid_f = 0.5 * (lo_f + hi_f)
-        if not lo_f < mid_f < hi_f:
-            # cell is a few ulps wide; cannot split further
-            residual_upper = max(residual_upper, -neg_ub)
-            continue
-        for a, b in ((lo_f, mid_f), (mid_f, hi_f)):
-            lb, ub = _cell_bounds(cell, a, b)
-            offer_bound(lb, cell, a, b)
-            if ub > lower:
-                heapq.heappush(heap, (-ub, seq, a, b, cell))
-                seq += 1
+        _cell_sup(cell, tol, found, bounds)
+    value, index, witness = max(found, key=itemgetter(0))
+    lower = _value_bounds(value)[0]
+    upper = _value_bounds(max([value] + bounds))[1]
+    if upper - lower > tol_f:
+        raise NonConvergence(f"tol {tol_f:.3g} cannot be met: the bracket is {upper - lower:.3g} wide")
+    return SupResult(upper, lower, witness, index)

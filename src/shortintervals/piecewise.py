@@ -13,7 +13,7 @@ from math import inf
 
 from . import polys
 from .errors import DenominatorVanishes, DomainMismatch, OutOfDomain
-from .exact import BoundaryPoint, Interval, as_boundary
+from .exact import BoundaryPoint, as_boundary
 from .polys import (
     DEFAULT_BRACKET_WIDTH,
     ExactRoot,
@@ -64,22 +64,16 @@ class RationalFunction:
     """P(s)/Q(s) with exact rational coefficients.
 
     Exact evaluation works at rationals and at quadratic surds (the value
-    then lives in the same field).  ``enclose`` gives an outward-rounded
-    floating enclosure over an interval, which is what the certified
-    optimizer consumes; its width shrinks to zero with the input width.
+    then lives in the same field).
     """
 
-    __slots__ = ("num", "den", "_num_iv", "_den_iv", "_dnum_iv", "_dden_iv")
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den=(Fraction(1),)):
         self.num = ptrim(num)
         self.den = ptrim(den)
         if not self.den:
             raise ZeroDivisionError("identically zero denominator")
-        self._num_iv = None
-        self._den_iv = None
-        self._dnum_iv = None
-        self._dden_iv = None
 
     @classmethod
     def constant(cls, c) -> "RationalFunction":
@@ -98,51 +92,6 @@ class RationalFunction:
             raise DenominatorVanishes(f"denominator vanishes at {xf}")
         return polys.peval(self.num, xf) / den
 
-    def _coeff_intervals(self):
-        if self._num_iv is None:
-            self._num_iv = [Interval.from_fraction(c) for c in self.num]
-            self._den_iv = [Interval.from_fraction(c) for c in self.den]
-        return self._num_iv, self._den_iv
-
-    def enclose(self, x: Interval) -> Interval:
-        num_iv, den_iv = self._coeff_intervals()
-        num = _horner(num_iv, x)
-        den = _horner(den_iv, x)
-        return num / den
-
-    def _deriv_intervals(self):
-        if self._dnum_iv is None:
-            dnum = psub(
-                pmul(polys.pderiv(self.num), self.den),
-                pmul(self.num, polys.pderiv(self.den)),
-            )
-            dden = pmul(self.den, self.den)
-            self._dnum_iv = [Interval.from_fraction(c) for c in dnum]
-            self._dden_iv = [Interval.from_fraction(c) for c in dden]
-        return self._dnum_iv, self._dden_iv
-
-    def enclose_tight(self, x: Interval) -> Interval:
-        """Enclosure sharpened by the mean-value form f(m) + f'(x)(x - m).
-
-        The centered form has quadratic instead of linear excess width, which
-        keeps branch-and-bound node counts small near smooth interior maxima.
-        Both forms are valid enclosures, so their intersection is returned.
-        """
-        plain = self.enclose(x)
-        if x.lo == x.hi:
-            return plain
-        m = x.mid
-        dnum_iv, dden_iv = self._deriv_intervals()
-        try:
-            fp = _horner(dnum_iv, x) / _horner(dden_iv, x)
-        except DenominatorVanishes:
-            return plain
-        pt = Interval.point(m)
-        centered = self.enclose(pt) + fp * (x - pt)
-        lo = max(plain.lo, centered.lo)
-        hi = min(plain.hi, centered.hi)
-        return Interval(lo, hi) if lo <= hi else plain
-
     # -- algebra ---------------------------------------------------------
 
     def scale(self, k) -> "RationalFunction":
@@ -160,24 +109,6 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"RationalFunction({self})"
-
-
-def _horner(coeffs: list[Interval], x: Interval) -> Interval:
-    if not coeffs:
-        return Interval.point(0.0)
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
-    return acc
-
-
-def enclose_rational_function(f: RationalFunction, x: Interval) -> Interval:
-    """Outward-rounded enclosure of { f(t) : t in x }.
-
-    Raises DenominatorVanishes when the interval sign test on the
-    denominator is inconclusive (it may straddle a zero).
-    """
-    return f.enclose(x)
 
 
 class Piece:
@@ -379,7 +310,8 @@ def feasible_region(pw: PiecewiseBound, c: Fraction) -> list[tuple[BoundaryPoint
             intervals.append((piece.lo, piece.hi))
             continue
         den_sign = polys.sign_at(rf.den, rational_between(piece.lo, piece.hi))
-        assert den_sign != 0, "denominator not sign-definite on its piece"
+        if den_sign == 0:
+            raise DenominatorVanishes(f"denominator of {rf} vanishes inside its piece")
 
         cuts: list[BoundaryPoint] = [piece.lo, piece.hi]
         brackets: list[tuple[BoundaryPoint, BoundaryPoint]] = []

@@ -8,6 +8,7 @@ falls back to Sturm isolation with certified rational brackets.
 from fractions import Fraction
 from functools import cmp_to_key
 
+from .errors import NonConvergence, OutOfDomain
 from .exact import BoundaryPoint, as_boundary, sqrt_fraction
 
 Poly = tuple[Fraction, ...]
@@ -160,6 +161,8 @@ def rational_between(a, b) -> Fraction:
     m = Fraction(0.5 * (fa + fb))
     if a < m < b:
         return m
+    if not a < b:
+        raise OutOfDomain(f"no rational strictly between {a} and {b}")
     prec = 64
     while True:
         a_hi = a.enclose_fraction(prec)[1]
@@ -170,7 +173,7 @@ def rational_between(a, b) -> Fraction:
                 return m
         prec *= 2
         if prec > 1 << 16:
-            raise RuntimeError("failed to separate boundary points")
+            raise NonConvergence(f"failed to separate {a} and {b}")
 
 
 class ExactRoot:

@@ -15,7 +15,7 @@ from importlib import resources
 
 from . import polys
 from .errors import InvalidFamilyIndex, ParseError
-from .exact import BoundaryPoint, Interval, as_boundary
+from .exact import BoundaryPoint, as_boundary
 from .piecewise import (
     Piece,
     PiecewiseBound,
@@ -338,16 +338,12 @@ def parse_transcription(which: str):
             families.append((parts[0], parts[1], parts[2], parts[3]))
             continue
         if len(parts) != 4:
-            raise ParseError(f"{name_of(which)} line {lineno}: expected 4 fields")
+            raise ParseError(f"{_DATA_FILES[which]} line {lineno}: expected 4 fields")
         lo = parse_endpoint(parts[0])
         hi = parse_endpoint(parts[1])
         rf = parse_formula(parts[2])
         finite.append((lo, hi, rf, parts[3]))
     return finite, families
-
-
-def name_of(which: str) -> str:
-    return _DATA_FILES[which]
 
 
 def checksum_rows(which: str) -> tuple[bool, list[str]]:
@@ -492,7 +488,7 @@ def validate_tables(
         lo_f, hi_f = float(piece.lo), float(piece.hi)
         for k in range(33):
             s = lo_f + (hi_f - lo_f) * k / 32
-            v = (1.0 - s) * piece.rf.enclose(Interval.point(s)).mid
+            v = (1.0 - s) * float(piece.rf.eval_exact(Fraction(s)))
             if prev is not None and v > prev[1] + 1e-15:
                 viol = max(viol, v - prev[1])
             prev = (s, v)

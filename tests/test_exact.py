@@ -7,12 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shortintervals.errors import DenominatorVanishes
 from shortintervals.exact import (
     BoundaryPoint,
-    Interval,
-    compare_boundary,
-    enclose_boundary,
     float_down,
     float_up,
     sqrt_fraction,
@@ -40,17 +36,19 @@ S128689 = surd((1273, 1184), (-1, 1184), 128689)  # ~0.77215
 
 def test_compare_rational_vs_surd():
     # 19/25 = 0.76 lies above (539 - sqrt(42121))/460 = 0.7255...
-    assert compare_boundary(BoundaryPoint(F(19, 25)), S42121) == 1
-    assert compare_boundary(S42121, BoundaryPoint(F(19, 25))) == -1
+    assert BoundaryPoint(F(19, 25))._compare(S42121) == 1
+    assert S42121._compare(BoundaryPoint(F(19, 25))) == -1
+    assert S42121 < F(19, 25) and F(19, 25) > S42121
 
 
 def test_compare_equal_rationals():
-    assert compare_boundary(BoundaryPoint(F(1, 2)), BoundaryPoint(F(1, 2))) == 0
+    assert BoundaryPoint(F(1, 2))._compare(BoundaryPoint(F(1, 2))) == 0
+    assert BoundaryPoint(F(1, 2)) == F(1, 2)
 
 
 def test_compare_table_ordering():
     # range "(5831 + sqrt(60001))/8240 <= sigma <= 42/55" forces this ordering
-    assert compare_boundary(S60001, BoundaryPoint(F(42, 55))) == -1
+    assert S60001._compare(BoundaryPoint(F(42, 55))) == -1
 
 
 def test_compare_distinct_surds():
@@ -71,7 +69,7 @@ def test_compare_randomized_against_mpmath():
         pts.append(BoundaryPoint(p, q, rng.choice(rads)))
     for _ in range(600):
         a, b = rng.choice(pts), rng.choice(pts)
-        got = compare_boundary(a, b)
+        got = a._compare(b)
         diff = mp_value(a) - mp_value(b)
         want = 0 if abs(diff) < mpmath.mpf("1e-40") else (1 if diff > 0 else -1)
         assert got == want, (a, b)
@@ -114,18 +112,18 @@ def test_enclose_boundary_width_contract(p, q, r, prec):
 
 
 def test_enclose_boundary_examples():
-    iv = enclose_boundary(BoundaryPoint(F(7, 10)))
-    assert iv.hi - iv.lo <= 2 * math.ulp(0.7)
-    assert iv.contains(0.7)
+    assert BoundaryPoint(F(7, 10)).enclose_fraction() == (F(7, 10), F(7, 10))
 
-    iv = enclose_boundary(S42121)
-    assert iv.width <= 1e-9
-    assert iv.lo <= float(mp_value(S42121)) <= iv.hi
-    assert abs(iv.mid - 0.7255782331) < 1e-9
+    lo, hi = S42121.enclose_fraction()
+    assert hi - lo <= F(1, 10**9)
+    assert lo <= S42121 <= hi
+    assert float_down(lo) <= float(mp_value(S42121)) <= float_up(hi)
+    assert abs(float((lo + hi) / 2) - 0.7255782331) < 1e-9
 
-    iv = enclose_boundary(S128689)
-    assert iv.lo <= float(mp_value(S128689)) <= iv.hi
-    assert abs(iv.mid - 0.7721853962314836) < 1e-9
+    lo, hi = S128689.enclose_fraction()
+    assert lo <= S128689 <= hi
+    assert float_down(lo) <= float(mp_value(S128689)) <= float_up(hi)
+    assert abs(float((lo + hi) / 2) - 0.7721853962314836) < 1e-9
 
 
 def test_enclose_boundary_covers_all_table_breakpoints():
@@ -185,21 +183,11 @@ def test_sqrt_fraction():
 
 
 def test_interval_outward_soundness():
+    # [float_down(x), float_up(x)] is the float bracket every certified
+    # bound is reported in: it must contain x and be at most one ulp wide
     rng = random.Random(3)
     for _ in range(400):
         a = F(rng.randint(-999, 999), rng.randint(1, 999))
-        b = F(rng.randint(-999, 999), rng.randint(1, 999))
-        ia, ib = Interval.from_fraction(a), Interval.from_fraction(b)
-        assert F(ia.lo) <= a <= F(ia.hi)
-        for op, exact in (("+", a + b), ("-", a - b), ("*", a * b)):
-            got = {"+": ia + ib, "-": ia - ib, "*": ia * ib}[op]
-            assert F(got.lo) <= exact <= F(got.hi), (op, a, b)
-        if b != 0:
-            if (b > 0) == (F(ib.lo) > 0) and not ib.contains(0.0):
-                got = ia / ib
-                assert F(got.lo) <= a / b <= F(got.hi)
-
-
-def test_interval_division_by_zero_straddle():
-    with pytest.raises(DenominatorVanishes):
-        Interval(1.0, 2.0) / Interval(-1.0, 1.0)
+        lo, hi = float_down(a), float_up(a)
+        assert F(lo) <= a <= F(hi)
+        assert hi == lo or hi == math.nextafter(lo, math.inf)

@@ -3,7 +3,8 @@ from math import inf
 
 import pytest
 
-from shortintervals.errors import OutOfDomain
+from shortintervals import mu
+from shortintervals.errors import DomainMismatch, OutOfDomain
 from shortintervals.exact import BoundaryPoint
 from shortintervals.mu import (
     gap_exponent,
@@ -13,7 +14,7 @@ from shortintervals.mu import (
     mu_upper,
     theta_grid,
 )
-from shortintervals.tables import HypothesisMode
+from shortintervals.tables import HypothesisMode, a_table
 
 UNC = HypothesisMode.UNCONDITIONAL
 DH = HypothesisMode.DH
@@ -156,17 +157,17 @@ def test_curve_empty_tail():
     assert all(p.mu_upper == -inf for p in pts)
 
 
-def test_curve_threads_deterministic():
-    a = mu_curve(F(1, 5), F(2, 5), 6, threads=1)
-    b = mu_curve(F(1, 5), F(2, 5), 6, threads=4)
-    assert [(p.theta, p.mu_upper, p.gap_exponent) for p in a] == [
-        (p.theta, p.mu_upper, p.gap_exponent) for p in b
-    ]
-
-
 def test_mode_dominance_sampled():
     for theta in theta_grid(F(1, 20), F(19, 20), 12):
         uppers = [mu_upper(theta, m).upper for m in (RH, LH, DH, UNC)]
         for s, w in zip(uppers, uppers[1:]):
             if s != -inf:
                 assert s <= w + 1.1e-9, theta
+
+
+def test_uncovered_cell_raises():
+    # a feasible cell no table row covers must fail loudly, never be dropped
+    index = mu._PieceIndex(a_table(UNC))
+    assert index.covering(F(1, 4), F(1, 3))
+    with pytest.raises(DomainMismatch):
+        index.covering(F(99, 100), F(1))

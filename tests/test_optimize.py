@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 from math import inf
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -46,8 +47,7 @@ def test_endpoint_maximum_resolves_from_seed():
     # increasing objective: supremum at the right endpoint, found exactly
     res = certified_sup([SupCell(F(0), F(1, 2), [rf((0, 2))])], F(1, 10**12))
     assert abs(res.upper - 1.0) <= 1e-12
-    assert float(res.witness) == 0.5
-    assert res.nodes <= 5
+    assert res.witness == F(1, 2)
 
 
 def test_argmin_index_reported():
@@ -57,11 +57,35 @@ def test_argmin_index_reported():
     assert abs(res.upper - 2.0) <= 1e-9
 
 
-def test_non_convergence_budget():
+def test_non_convergence_unreachable_tol():
+    # 1/3 has no float bracket narrower than one ulp
     with pytest.raises(NonConvergence):
-        certified_sup(
-            [SupCell(F(0), F(1), [rf((0, 1, -1))])], F(1, 10**12), node_budget=3
-        )
+        certified_sup([SupCell(F(0), F(1), [rf((F(1, 3),))])], F(1, 10**20))
+    # nor has the irrational crossing of s^3 and 1 - s
+    with pytest.raises(NonConvergence):
+        certified_sup([SupCell(F(0), F(1), [rf((0, 0, 0, 1)), rf((1, -1))])], F(1, 10**20))
+
+
+def test_bracketed_crossing_bisected_to_tol():
+    # s^3 = 1 - s has one real root, a cubic irrational: the crossing comes
+    # back bracketed and is bisected until the bracket is within tol
+    root = mpmath.findroot(lambda x: x**3 + x - 1, 0.68)
+    for tol in (F(1, 10**9), F(1, 10**15)):
+        res = certified_sup([SupCell(F(0), F(1), [rf((0, 0, 0, 1)), rf((1, -1))])], tol)
+        assert res.lower <= float(1 - root) <= res.upper
+        assert res.upper - res.lower <= float(tol)
+        assert isinstance(res.witness, F) and abs(float(res.witness) - float(root)) < 1e-12
+        assert res.active_index == 0  # s^3 is the smaller one left of the crossing
+
+
+def test_bracketed_critical_point_certified():
+    # -(s^4/4 + s^2/2 - s) peaks where s^3 + s - 1 = 0, a cubic irrational
+    f = rf((0, 1, F(-1, 2), 0, F(-1, 4)))
+    root = mpmath.findroot(lambda x: x**3 + x - 1, 0.68)
+    peak = float(-(root**4 / 4 + root**2 / 2 - root))
+    res = certified_sup([SupCell(F(0), F(1), [f])], F(1, 10**9))
+    assert res.lower <= peak <= res.upper
+    assert res.upper - res.lower <= 1e-9
 
 
 def test_randomized_objectives_against_dense_grid():

@@ -1,16 +1,20 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from shortintervals.errors import DenominatorVanishes, DomainMismatch, OutOfDomain
-from shortintervals.exact import BoundaryPoint, Interval
+from shortintervals.exact import BoundaryPoint
+from shortintervals.optimize import SupCell, certified_sup
 from shortintervals.piecewise import (
     Piece,
     PiecewiseBound,
     RationalFunction,
-    enclose_rational_function,
     feasible_region,
     pointwise_min,
 )
@@ -27,39 +31,50 @@ INGHAM = rf((3,), (2, -1))  # 3/(2 - s)
 
 
 def test_enclose_point_interval_tight():
-    # one-ulp outward inflation per operation: a 2-op formula stays within
-    # a few ulp of the exact value at a point
-    enc = enclose_rational_function(INGHAM, Interval(0.5, 0.5))
-    assert enc.lo <= 2.0 <= enc.hi
-    assert enc.width <= 6 * math.ulp(2.0)
+    # a point cell is evaluated exactly: its bracket is the directed
+    # rounding of the exact value, at most one ulp wide
+    res = certified_sup([SupCell(F(1, 2), F(1, 2), [INGHAM])], F(1, 10**15))
+    assert res.lower == res.upper == 2.0
+    res = certified_sup([SupCell(F(1, 3), F(1, 3), [INGHAM])], F(1, 10**15))
+    assert F(res.lower) <= F(9, 5) <= F(res.upper)
+    assert res.upper - res.lower <= math.ulp(1.8)
 
 
 def test_enclose_contains_range():
-    enc = enclose_rational_function(INGHAM, Interval(0.5, 0.7))
-    assert enc.lo <= 2.0 and enc.hi >= float(F(30, 13))
+    # 3/(2 - s) rises from 2 to 30/13 on [1/2, 7/10]
+    res = certified_sup([SupCell(F(1, 2), F(7, 10), [INGHAM])], F(1, 10**12))
+    assert F(res.lower) <= F(30, 13) <= F(res.upper)
+    assert res.witness == F(7, 10)
 
 
 def test_enclose_pole_raises():
+    pole = rf((1,), (1, -1))
     with pytest.raises(DenominatorVanishes):
-        enclose_rational_function(rf((1,), (1, -1)), Interval(0.999, 1.001))
+        certified_sup([SupCell(F(999, 1000), F(1001, 1000), [pole])], F(1, 10**9))
+    with pytest.raises(DenominatorVanishes):
+        certified_sup([SupCell(F(1), F(1), [pole])], F(1, 10**9))
 
 
 def test_enclosure_soundness_randomized():
-    # any exact rational sample of f over x must land inside the enclosure
+    # no exact sample of min(f, g) on a cell exceeds the certified upper
+    # bound, and the witness attains at least the lower bound
     rng = random.Random(19)
-    for _ in range(200):
-        num = [F(rng.randint(-9, 9)) for _ in range(rng.randint(1, 3))]
-        den = [F(rng.randint(1, 9)), F(0), F(rng.randint(1, 9))]  # positive on R
-        f = RationalFunction(num, den)
+    for _ in range(60):
+        fs = [
+            RationalFunction(
+                [F(rng.randint(-9, 9)) for _ in range(rng.randint(1, 3))],
+                [F(rng.randint(1, 9)), F(0), F(rng.randint(1, 9))],  # positive on R
+            )
+            for _ in range(2)
+        ]
         a = F(rng.randint(-100, 100), 100)
         b = a + F(rng.randint(1, 50), 100)
-        enc = f.enclose(Interval(float(a), float(b)))
-        enc2 = f.enclose_tight(Interval(float(a), float(b)))
-        for _ in range(10):
-            t = a + (b - a) * F(rng.randint(0, 64), 64)
-            v = f.eval_exact(t)
-            assert F(enc.lo) <= v <= F(enc.hi)
-            assert F(enc2.lo) <= v <= F(enc2.hi)
+        res = certified_sup([SupCell(a, b, fs)], F(1, 10**9))
+        assert res.upper - res.lower <= 1e-9
+        for k in range(33):
+            t = a + (b - a) * F(k, 32)
+            assert min(f.eval_exact(t) for f in fs) <= F(res.upper)
+        assert min(f.eval_exact(res.witness) for f in fs) >= F(res.lower)
 
 
 def test_evaluate_upper_takes_max_at_breakpoints():
@@ -180,3 +195,32 @@ def test_feasible_region_membership_randomized():
             continue
         inside = any(lo <= s <= hi for lo, hi in region)
         assert inside == (table.evaluate_upper(s) >= c), s
+
+
+POLE_AT_HALF = PiecewiseBound([Piece(F(0), F(1), rf((1,), (F(-1, 2), 1)), "pole")])
+
+
+def test_feasible_region_pole_raises():
+    # 1/(s - 1/2) is not sign-definite on [0, 1): solving its level set
+    # would silently drop feasible sigma
+    with pytest.raises(DenominatorVanishes):
+        feasible_region(POLE_AT_HALF, F(1))
+
+
+def test_feasible_region_pole_raises_under_optimize_flag():
+    code = (
+        "from fractions import Fraction as F\n"
+        "from shortintervals.errors import DenominatorVanishes\n"
+        "from shortintervals.piecewise import Piece, PiecewiseBound, RationalFunction,"
+        " feasible_region\n"
+        "pw = PiecewiseBound([Piece(F(0), F(1), RationalFunction((F(1),), (F(-1, 2), F(1))))])\n"
+        "try:\n"
+        "    feasible_region(pw, F(1))\n"
+        "except DenominatorVanishes:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0

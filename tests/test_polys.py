@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from shortintervals.errors import ShortIntervalsError
 from shortintervals.exact import BoundaryPoint
 from shortintervals.polys import (
     BracketedRoot,
@@ -101,3 +102,10 @@ def test_rational_between_surds():
     b = BoundaryPoint(F(141422, 100000))  # just above sqrt(2)
     m = rational_between(a, b)
     assert a < m < b
+
+
+def test_rational_between_empty_interval_raises():
+    with pytest.raises(ShortIntervalsError):
+        rational_between(F(1, 2), F(1, 2))
+    with pytest.raises(ShortIntervalsError):
+        rational_between(BoundaryPoint(0, 1, 2), F(1))
