@@ -9,6 +9,7 @@ exact value outward into a certified bracket.
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 RationalLike = int | Fraction
@@ -27,9 +28,9 @@ def _small_primes(bound: int = 10_000) -> list[int]:
     return _SMALL_PRIMES
 
 
-_SQFREE_CACHE: dict[int, tuple[int, int]] = {}
-
-
+# every surd operation re-normalizes its radicand; each theta brings a few new
+# ones, so recent radicands are kept and the cache stays bounded
+@lru_cache(maxsize=1 << 10)
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n = s^2 * m and return (s, m).
 
@@ -41,9 +42,6 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
         raise ValueError("negative radicand")
     if n in (0, 1):
         return 1, n
-    hit = _SQFREE_CACHE.get(n)
-    if hit is not None:
-        return hit
     s, m = 1, n
     # full trial division is only worthwhile for moderate radicands; huge
     # discriminants get a cheap pass (comparisons never depend on this)
@@ -57,8 +55,6 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     root = isqrt(m)
     if root * root == m:
         s, m = s * root, 1
-    if len(_SQFREE_CACHE) < 1 << 16:
-        _SQFREE_CACHE[n] = (s, m)
     return s, m
 
 

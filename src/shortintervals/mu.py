@@ -81,30 +81,42 @@ def _moment_rf(scaled: tuple[Poly, Poly], theta: Fraction, moment: int) -> Ratio
     return RationalFunction(padd(pscale(g, 1 - theta), pmul(affine, h)), h)
 
 
-class _PieceIndex:
-    """Float-keyed lookup of the pieces covering a sigma range.
+class _Row:
+    """A covering piece's scaled row and the piece's maximum."""
 
-    Binary search on approximate keys narrows to a couple of candidates,
-    which are then verified with exact comparisons.  The theta-independent
-    scaled row of a piece is computed on its first use, since rows outside
-    every feasible region (the family rows near 1) never need it.
-    """
+    __slots__ = ("scaled", "top")
+
+    def __init__(self, scaled: tuple[Poly, Poly], top: Fraction):
+        self.scaled = scaled
+        self.top = top
+
+    def bound(self, theta: Fraction, moment: int, x_lo: Fraction, y_hi: Fraction) -> Fraction:
+        """Upper bound on the moment objective over a cell [x, y] of the
+        piece, given rationals x_lo <= x and y_hi >= y: there 0 <= 1-s <= 1-x,
+        so (1-s)A(s) <= (1-x)*top when top >= 0 and <= (1-y)*top otherwise."""
+        weight = 1 - x_lo if self.top >= 0 else 1 - y_hi
+        return (1 - theta) * weight * self.top + moment * y_hi - (moment - 1)
+
+
+class _PieceIndex:
+    """Lookup of the pieces covering a sigma range, by the bound's exact
+    bisection.  The theta-independent row of a piece is built on its first
+    use, since rows outside every feasible region (the family rows near 1)
+    never need it."""
 
     def __init__(self, pw: PiecewiseBound):
-        self.pieces = pw.pieces
-        self.lo_keys = [float(p.lo) for p in pw.pieces]
-        self.scaled: dict[int, tuple[Poly, Poly] | None] = {}
+        self.pw = pw
+        self.rows: dict[int, _Row | None] = {}
 
-    def covering(self, x, y) -> list[tuple[Poly, Poly] | None]:
-        """Scaled rows (None for -inf) of the pieces covering [x, y]."""
-        i = bisect_right(self.lo_keys, float(x))
+    def covering(self, x, y) -> list[_Row | None]:
+        """Rows (None for -inf) of the pieces covering [x, y]."""
         out = []
-        for k in range(max(0, i - 2), min(len(self.pieces), i + 2)):
-            p = self.pieces[k]
-            if p.lo <= x and y <= p.hi:
-                if k not in self.scaled:
-                    self.scaled[k] = None if p.rf is None else _scaled_row(p.rf)
-                out.append(self.scaled[k])
+        for k in self.pw.indices_at(x):
+            p = self.pw.pieces[k]
+            if y <= p.hi:
+                if k not in self.rows and p.rf is not None:
+                    self.rows[k] = _Row(_scaled_row(p.rf), self.pw.piece_max(k))
+                out.append(self.rows.get(k))
         # dropping a feasible cell would under-estimate the sup: never allowed
         if not out:
             raise DomainMismatch(f"no table row covers [{x}, {y}]")
@@ -116,11 +128,10 @@ def _mode_grid(mode: HypothesisMode, pintz_max_n: int):
     atab = a_table(mode, pintz_max_n)
     astab = astar_table(mode, pintz_max_n)
     bps: list[BoundaryPoint] = []
-    for b in sorted(atab.breakpoints() + astab.breakpoints(), key=float):
+    for b in sorted(atab.breakpoints() + astab.breakpoints()):
         if not bps or bps[-1] < b:
             bps.append(b)
-    bp_keys = [float(b) for b in bps]
-    return atab, astab, _PieceIndex(atab), _PieceIndex(astab), bps, bp_keys
+    return atab, _PieceIndex(atab), _PieceIndex(astab), bps
 
 
 def objective_cells(
@@ -134,37 +145,42 @@ def objective_cells(
     Cells follow the common refinement of both tables inside the feasible
     region.  A degenerate region point on a table breakpoint produces one
     point-cell per adjacent piece pair, which realizes the upper-regularized
-    (max over adjacent rows) reading of the tables.
+    (max over adjacent rows) reading of the tables.  Each cell carries an
+    upper bound on its objective from the maxima of its pieces.
     """
     theta = _as_theta(theta)
-    atab, astab, a_idx, astar_idx, bps, bp_keys = _mode_grid(mode, pintz_max_n)
+    atab, a_idx, astar_idx, bps = _mode_grid(mode, pintz_max_n)
     c = 1 / (1 - theta)
     region = feasible_region(atab, c)
     cells: list[SupCell] = []
+    objectives: dict[int, RationalFunction] = {}  # by row, built once per theta
+
+    def objective(row, moment):
+        if id(row) not in objectives:
+            objectives[id(row)] = _moment_rf(row.scaled, theta, moment)
+        return objectives[id(row)]
 
     def add_cell(x, y):
-        for ga in a_idx.covering(x, y):
-            if ga is None:
+        x_lo, y_hi = x.enclose_fraction(32)[0], y.enclose_fraction(32)[1]
+        for ra in a_idx.covering(x, y):
+            if ra is None:
                 continue
-            objs = [_moment_rf(ga, theta, 2)]
+            objs = [objective(ra, 2)]
+            bound = ra.bound(theta, 2, x_lo, y_hi)
             if refined:
-                for gs in astar_idx.covering(x, y):
-                    if gs is not None:
-                        cells.append(SupCell(x, y, objs + [_moment_rf(gs, theta, 4)]))
+                for rs in astar_idx.covering(x, y):
+                    if rs is not None:
+                        cells.append(SupCell(x, y, objs + [objective(rs, 4)],
+                                             min(bound, rs.bound(theta, 4, x_lo, y_hi))))
             else:
-                cells.append(SupCell(x, y, objs))
+                cells.append(SupCell(x, y, objs, bound))
 
     for rlo, rhi in region:
         if rlo == rhi:
             add_cell(rlo, rhi)
             continue
-        lo_i = bisect_left(bp_keys, float(rlo)) - 1
-        hi_i = bisect_right(bp_keys, float(rhi)) + 1
-        cuts = [rlo]
-        for b in bps[max(0, lo_i) : hi_i]:
-            if rlo < b < rhi and cuts[-1] < b:
-                cuts.append(b)
-        cuts.append(rhi)
+        inner = bps[bisect_right(bps, rlo) : bisect_left(bps, rhi)]
+        cuts = [rlo, *inner, rhi]
         for x, y in zip(cuts, cuts[1:]):
             add_cell(x, y)
     return cells

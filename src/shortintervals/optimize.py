@@ -12,7 +12,7 @@ value they bound is attained within tol/4.  The returned bracket
 
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import product
+from itertools import chain, product
 from math import inf
 from operator import itemgetter
 
@@ -24,11 +24,12 @@ _exact_cmp = cmp_to_key(lambda a, b: a._compare(b))
 
 
 class SupCell:
-    """A closed sigma-cell with the objective min(objectives) on it."""
+    """A closed sigma-cell with the objective min(objectives) on it, and
+    optionally a known upper bound on that objective over the cell."""
 
-    __slots__ = ("lo", "hi", "objectives")
+    __slots__ = ("lo", "hi", "objectives", "bound")
 
-    def __init__(self, lo, hi, objectives):
+    def __init__(self, lo, hi, objectives, bound=None):
         self.lo = as_boundary(lo)
         self.hi = as_boundary(hi)
         if self.lo > self.hi:
@@ -36,6 +37,7 @@ class SupCell:
         self.objectives = tuple(objectives)
         if not self.objectives:
             raise ValueError("cell without objectives")
+        self.bound = bound
 
 
 class SupResult:
@@ -172,6 +174,10 @@ def certified_sup(cells: list[SupCell], tol: Fraction | float) -> SupResult:
     cell list yields the empty-supremum convention (-inf).  Raises
     DenominatorVanishes when an objective has a pole in a closed cell, and
     NonConvergence when tol is narrower than the float bracket can be.
+
+    Cells are visited by decreasing bound, and a cell whose bound + tol is
+    below a value already attained is skipped: it cannot hold the witness
+    nor raise the upper end.  Ties still go to the first cell in list order.
     """
     tol_f = float_down(Fraction(tol)) if not isinstance(tol, float) else tol
     if tol_f <= 0:
@@ -179,10 +185,19 @@ def certified_sup(cells: list[SupCell], tol: Fraction | float) -> SupResult:
     if not cells:
         return SupResult(-inf, -inf, None, None)
     tol = Fraction(tol)
-    found, bounds = [], []
-    for cell in cells:
-        _cell_sup(cell, tol, found, bounds)
-    value, index, witness = max(found, key=itemgetter(0))
+    found, bounds = [[] for _ in cells], []  # found is kept per cell, in list order
+    best = None
+    order = sorted(range(len(cells)),
+                   key=lambda i: -inf if cells[i].bound is None else -float(cells[i].bound))
+    for i in order:
+        cell = cells[i]
+        if best is not None and cell.bound is not None and cell.bound + tol < best:
+            continue
+        _cell_sup(cell, tol, found[i], bounds)
+        top = max(found[i], key=itemgetter(0))[0]
+        if best is None or top > best:
+            best = top
+    value, index, witness = max(chain.from_iterable(found), key=itemgetter(0))
     lower = _value_bounds(value)[0]
     upper = _value_bounds(max([value] + bounds))[1]
     if upper - lower > tol_f:

@@ -7,6 +7,7 @@ formula values is returned, so the function is an upper-semicontinuous
 majorant of whatever the individual rows bound.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cmp_to_key
 from math import inf
@@ -14,6 +15,7 @@ from math import inf
 from . import polys
 from .errors import DenominatorVanishes, DomainMismatch, OutOfDomain
 from .exact import BoundaryPoint, as_boundary
+from .optimize import SupCell, certified_sup
 from .polys import (
     DEFAULT_BRACKET_WIDTH,
     ExactRoot,
@@ -26,6 +28,7 @@ from .polys import (
 )
 
 _exact_cmp = cmp_to_key(lambda a, b: as_boundary(a)._compare(b))
+_MAX_TOL = Fraction(1, 10**9)
 
 ExactValue = Fraction | BoundaryPoint
 
@@ -148,7 +151,7 @@ def _exact_max(values):
 class PiecewiseBound:
     """Ordered, exactly-abutting pieces covering [0, sigma_cap)."""
 
-    __slots__ = ("pieces",)
+    __slots__ = ("pieces", "_los", "_maxima")
 
     def __init__(self, pieces):
         pieces = tuple(pieces)
@@ -158,6 +161,8 @@ class PiecewiseBound:
             if not a.hi == b.lo:
                 raise ValueError(f"gap or overlap between {a} and {b}")
         self.pieces = pieces
+        self._los = [p.lo for p in pieces]
+        self._maxima: dict[int, Fraction | None] = {}
 
     @property
     def lo(self) -> BoundaryPoint:
@@ -170,11 +175,27 @@ class PiecewiseBound:
     def breakpoints(self) -> list[BoundaryPoint]:
         return [p.lo for p in self.pieces] + [self.sigma_cap]
 
-    def pieces_at(self, s) -> list[Piece]:
+    def indices_at(self, s) -> list[int]:
+        """Indices of the pieces whose closed cell contains s: one, or the
+        two sharing a breakpoint.  Bisects on the exact piece starts."""
         s = as_boundary(s)
         if s < self.lo or s >= self.sigma_cap:
             raise OutOfDomain(f"sigma={s} outside [{self.lo}, {self.sigma_cap})")
-        return [p for p in self.pieces if p.lo <= s <= p.hi]
+        i = bisect_right(self._los, s) - 1
+        return [i - 1, i] if i > 0 and self._los[i] == s else [i]
+
+    def pieces_at(self, s) -> list[Piece]:
+        return [self.pieces[i] for i in self.indices_at(s)]
+
+    def piece_max(self, k: int) -> Fraction | None:
+        """An upper bound, within 1e-9, on piece k's formula over its closed
+        cell (None for -inf), computed once; a pole in the closed cell
+        raises DenominatorVanishes."""
+        if k not in self._maxima:
+            p = self.pieces[k]
+            self._maxima[k] = None if p.rf is None else Fraction(
+                certified_sup([SupCell(p.lo, p.hi, [p.rf])], _MAX_TOL).upper)
+        return self._maxima[k]
 
     def evaluate_upper(self, s):
         """Upper-regularized value at s: the max over all pieces touching s."""
@@ -296,22 +317,23 @@ def feasible_region(pw: PiecewiseBound, c: Fraction) -> list[tuple[BoundaryPoint
 
     Each piece is solved on its closed cell [lo, hi]; since regularization
     takes the max of adjacent pieces at breakpoints, the union over closed
-    cells is exactly the upper level set.  Endpoints are exact for rational
-    or quadratic crossings; bracketed crossings round the region outward.
+    cells is exactly the upper level set.  Pieces whose maximum is below c
+    are skipped unsolved.  Endpoints are exact for rational or quadratic
+    crossings; bracketed crossings round the region outward.
     """
     c = Fraction(c)
     intervals: list[tuple[BoundaryPoint, BoundaryPoint]] = []
-    for piece in pw.pieces:
-        if piece.rf is None:
+    for k, piece in enumerate(pw.pieces):
+        top = pw.piece_max(k)
+        if top is None or top < c:
             continue
         rf = piece.rf
         diff = psub(rf.num, pscale(rf.den, c))
         if not diff:
             intervals.append((piece.lo, piece.hi))
             continue
+        # piece_max has ruled out a pole on the closed piece
         den_sign = polys.sign_at(rf.den, rational_between(piece.lo, piece.hi))
-        if den_sign == 0:
-            raise DenominatorVanishes(f"denominator of {rf} vanishes inside its piece")
 
         cuts: list[BoundaryPoint] = [piece.lo, piece.hi]
         brackets: list[tuple[BoundaryPoint, BoundaryPoint]] = []

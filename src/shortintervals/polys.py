@@ -18,7 +18,9 @@ ONE = Fraction(1)
 
 
 def ptrim(coeffs) -> Poly:
-    c = [Fraction(x) for x in coeffs]
+    # Fraction(x) of a Fraction is slow (an abstract-base-class check) and
+    # most coefficients already are Fractions
+    c = [x if type(x) is Fraction else Fraction(x) for x in coeffs]
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)

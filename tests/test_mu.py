@@ -3,7 +3,7 @@ from math import inf
 
 import pytest
 
-from shortintervals import mu
+from shortintervals import mu, polys
 from shortintervals.errors import DomainMismatch, OutOfDomain
 from shortintervals.exact import BoundaryPoint
 from shortintervals.mu import (
@@ -14,6 +14,7 @@ from shortintervals.mu import (
     mu_upper,
     theta_grid,
 )
+from shortintervals.optimize import SupCell, certified_sup
 from shortintervals.tables import HypothesisMode, a_table
 
 UNC = HypothesisMode.UNCONDITIONAL
@@ -167,7 +168,47 @@ def test_mode_dominance_sampled():
 
 def test_uncovered_cell_raises():
     # a feasible cell no table row covers must fail loudly, never be dropped
-    index = mu._PieceIndex(a_table(UNC))
-    assert index.covering(F(1, 4), F(1, 3))
+    table = a_table(UNC)
+    index = mu._PieceIndex(table)
+    assert len(index.covering(F(1, 4), F(1, 3))) == 1
+    b = table.pieces[2].lo  # 7/10: a point cell there gets both adjacent rows
+    assert len(index.covering(b, b)) == 2
+    assert len(index.covering(b, table.pieces[2].hi)) == 1
     with pytest.raises(DomainMismatch):
         index.covering(F(99, 100), F(1))
+    with pytest.raises(DomainMismatch):
+        index.covering(b - F(1, 10**6), b + F(1, 10**6))
+
+
+def test_empty_theta_skips_root_isolation(monkeypatch):
+    # an EMPTY theta is decided by the cached piece maxima alone
+    mu_upper(F(1, 4))  # build the table's maxima and scaled rows
+    calls = []
+    isolate = polys.roots_in_closed_interval
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return isolate(*args, **kwargs)
+
+    monkeypatch.setattr(polys, "roots_in_closed_interval", counting)
+    assert mu_upper(F(3, 4)).is_empty
+    assert not calls
+    assert not mu_upper(F(1, 4)).is_empty
+    assert calls
+
+
+@pytest.mark.parametrize("mode", [UNC, DH, LH, RH], ids=lambda m: m.value)
+def test_cell_bounds_are_sound_and_change_nothing(mode):
+    # every cell's bound is at least its own supremum, and skipping cells
+    # by their bounds leaves upper, lower, witness and active index alone
+    tol = F(1, 10**13) if mode is RH else F(1, 10**9)
+    for theta in (F(1, 10), F(1, 3), F(1, 2)):
+        for refined in (True, False):
+            cells = mu.objective_cells(theta, mode, refined)
+            for cell in cells:
+                own = certified_sup([SupCell(cell.lo, cell.hi, cell.objectives)], tol)
+                assert F(own.lower) <= cell.bound
+            plain = [SupCell(cell.lo, cell.hi, cell.objectives) for cell in cells]
+            a, b = certified_sup(cells, tol), certified_sup(plain, tol)
+            assert (a.upper, a.lower, a.active_index) == (b.upper, b.lower, b.active_index)
+            assert a.witness == b.witness

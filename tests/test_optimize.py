@@ -57,6 +57,34 @@ def test_argmin_index_reported():
     assert abs(res.upper - 2.0) <= 1e-9
 
 
+def test_cell_bounds_skip_only_what_cannot_matter(monkeypatch):
+    from shortintervals import optimize
+
+    evaluated = []
+    cell_sup = optimize._cell_sup
+
+    def counting(cell, *args):
+        evaluated.append(cell)
+        return cell_sup(cell, *args)
+
+    monkeypatch.setattr(optimize, "_cell_sup", counting)
+    tol = F(1, 10**9)
+    one = SupCell(F(0), F(1, 4), [rf((1,))], bound=F(2))
+    # bound + tol below the attained 1: skipped, never evaluated
+    low = SupCell(F(1, 4), F(1, 2), [rf((F(1, 2),))], bound=F(1, 2))
+    res = certified_sup([low, one], tol)
+    assert evaluated == [one] and res.witness == 0
+    # a bound within tol above the attained value keeps the cell, whose
+    # value is the supremum
+    near = SupCell(F(1, 2), F(3, 4), [rf((1 + tol / 2,))], bound=1 + tol / 2)
+    res = certified_sup([one, near], tol)
+    assert F(res.upper) >= 1 + tol / 2 and res.witness == F(1, 2)
+    # a tie goes to the first cell in list order, though the second is
+    # visited first
+    tie = SupCell(F(1, 2), F(3, 4), [rf((1,))], bound=F(1))
+    assert certified_sup([tie, one], tol).witness == F(1, 2)
+
+
 def test_non_convergence_unreachable_tol():
     # 1/3 has no float bracket narrower than one ulp
     with pytest.raises(NonConvergence):

@@ -7,6 +7,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shortintervals.errors import DenominatorVanishes, DomainMismatch, OutOfDomain
 from shortintervals.exact import BoundaryPoint
@@ -18,7 +20,7 @@ from shortintervals.piecewise import (
     feasible_region,
     pointwise_min,
 )
-from shortintervals.tables import HypothesisMode, a_table
+from shortintervals.tables import HypothesisMode, a_table, astar_table
 
 UNC = HypothesisMode.UNCONDITIONAL
 
@@ -89,6 +91,23 @@ def test_evaluate_upper_takes_max_at_breakpoints():
         pw.evaluate_upper(F(1))
     with pytest.raises(OutOfDomain):
         pw.evaluate_upper(F(-1, 10))
+
+
+def test_pieces_at_matches_scan():
+    # the bisected lookup returns exactly the pieces whose closed cell holds
+    # sigma, in table order: two at a breakpoint, surd breakpoints included
+    rng = random.Random(31)
+    for mode in HypothesisMode:
+        for table in (a_table(mode), astar_table(mode)):
+            cap = table.sigma_cap.as_fraction()
+            points = [p.lo for p in table.pieces]
+            points += [cap * F(rng.randrange(10**6), 10**6) for _ in range(200)]
+            for s in points:
+                expected = [p for p in table.pieces if p.lo <= s <= p.hi]
+                assert table.pieces_at(s) == expected, (mode, s)
+            assert len(table.pieces_at(table.pieces[-1].lo)) == 2
+            with pytest.raises(OutOfDomain):
+                table.pieces_at(table.sigma_cap)
 
 
 def test_pointwise_min_idempotent():
@@ -163,6 +182,8 @@ def test_feasible_region_degenerate_point():
     assert len(region) == 1
     lo, hi = region[0]
     assert lo == F(7, 10) and hi == F(7, 10)
+    # under RH the table ends at 1/2 with the value 2 (theta = 1/2)
+    assert feasible_region(a_table(HypothesisMode.RH), F(2)) == [(F(1, 2), F(1, 2))]
 
 
 def test_feasible_region_zero_threshold_is_everything():
@@ -197,7 +218,52 @@ def test_feasible_region_membership_randomized():
         assert inside == (table.evaluate_upper(s) >= c), s
 
 
+def _rational_end_values(mode):
+    values = set()
+    for p in a_table(mode).pieces:
+        for x in (p.lo, p.hi):
+            v = None if p.rf is None else p.rf.eval_exact(x)
+            if isinstance(v, F):
+                values.add(v)
+    return sorted(values)
+
+
+END_VALUES = {mode: _rational_end_values(mode) for mode in HypothesisMode}
+
+
+@st.composite
+def mode_and_level(draw):
+    mode = draw(st.sampled_from(list(HypothesisMode)))
+    c = draw(st.one_of(
+        st.fractions(min_value=0, max_value=3, max_denominator=10**4),
+        st.sampled_from(END_VALUES[mode]),
+        st.just(F(30, 13)),
+    ))
+    return mode, c
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    case=mode_and_level(),
+    units=st.lists(st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+                   min_size=20, max_size=20),
+)
+def test_feasible_region_exact_in_all_modes(case, units):
+    # sigma lies in the region iff the regularized table reaches c there,
+    # at random sigma and at every region endpoint
+    mode, c = case
+    table = a_table(mode)
+    region = feasible_region(table, c)
+    cap = table.sigma_cap
+    points = [cap.as_fraction() * u for u in units if u < 1]
+    points += [x for iv in region for x in iv if x < cap]
+    for s in points:
+        inside = any(lo <= s <= hi for lo, hi in region)
+        assert inside == (table.evaluate_upper(s) >= c), (mode, c, s)
+
+
 POLE_AT_HALF = PiecewiseBound([Piece(F(0), F(1), rf((1,), (F(-1, 2), 1)), "pole")])
+POLE_AT_THIRD = PiecewiseBound([Piece(F(0), F(1), rf((1,), (F(-1, 3), 1)), "pole")])
 
 
 def test_feasible_region_pole_raises():
@@ -205,6 +271,10 @@ def test_feasible_region_pole_raises():
     # would silently drop feasible sigma
     with pytest.raises(DenominatorVanishes):
         feasible_region(POLE_AT_HALF, F(1))
+    # the sign of 1/(s - 1/3) at the piece's midpoint hides the pole: the
+    # piece's maximum over its closed cell must still find it
+    with pytest.raises(DenominatorVanishes):
+        feasible_region(POLE_AT_THIRD, F(1))
 
 
 def test_feasible_region_pole_raises_under_optimize_flag():
@@ -213,12 +283,13 @@ def test_feasible_region_pole_raises_under_optimize_flag():
         "from shortintervals.errors import DenominatorVanishes\n"
         "from shortintervals.piecewise import Piece, PiecewiseBound, RationalFunction,"
         " feasible_region\n"
-        "pw = PiecewiseBound([Piece(F(0), F(1), RationalFunction((F(1),), (F(-1, 2), F(1))))])\n"
-        "try:\n"
-        "    feasible_region(pw, F(1))\n"
-        "except DenominatorVanishes:\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit(1)\n"
+        "for pole in (F(1, 2), F(1, 3)):\n"
+        "    pw = PiecewiseBound([Piece(F(0), F(1), RationalFunction((F(1),), (-pole, F(1))))])\n"
+        "    try:\n"
+        "        feasible_region(pw, F(1))\n"
+        "    except DenominatorVanishes:\n"
+        "        continue\n"
+        "    raise SystemExit(1)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
