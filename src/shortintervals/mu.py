@@ -21,7 +21,7 @@ from math import inf
 from .errors import DomainMismatch, OutOfDomain
 from .exact import BoundaryPoint, as_boundary
 from .optimize import SupCell, SupResult, certified_sup
-from .piecewise import PiecewiseBound, RationalFunction, feasible_region
+from .piecewise import PiecewiseBound, RationalFunction, _merged_cells, feasible_region
 from .polys import ONE, Poly, padd, pdivmod, pgcd, pmul, pscale
 from .tables import DEFAULT_PINTZ_MAX_N, HypothesisMode, a_table, astar_table
 
@@ -99,24 +99,24 @@ class _Row:
 
 
 class _PieceIndex:
-    """Lookup of the pieces covering a sigma range, by the bound's exact
-    bisection.  The theta-independent row of a piece is built on its first
-    use, since rows outside every feasible region (the family rows near 1)
-    never need it."""
+    """The rows of a bound's pieces.  The theta-independent row of a piece is
+    built on its first use, since rows outside every feasible region (the
+    family rows near 1) never need it."""
 
     def __init__(self, pw: PiecewiseBound):
         self.pw = pw
         self.rows: dict[int, _Row | None] = {}
 
+    def row(self, k: int) -> _Row | None:
+        """The row of piece k (None for -inf)."""
+        if k not in self.rows:
+            rf = self.pw.pieces[k].rf
+            self.rows[k] = None if rf is None else _Row(_scaled_row(rf), self.pw.piece_max(k))
+        return self.rows[k]
+
     def covering(self, x, y) -> list[_Row | None]:
-        """Rows (None for -inf) of the pieces covering [x, y]."""
-        out = []
-        for k in self.pw.indices_at(x):
-            p = self.pw.pieces[k]
-            if y <= p.hi:
-                if k not in self.rows and p.rf is not None:
-                    self.rows[k] = _Row(_scaled_row(p.rf), self.pw.piece_max(k))
-                out.append(self.rows.get(k))
+        """Rows of the pieces covering [x, y], by the bound's exact bisection."""
+        out = [self.row(k) for k in self.pw.indices_at(x) if y <= self.pw.pieces[k].hi]
         # dropping a feasible cell would under-estimate the sup: never allowed
         if not out:
             raise DomainMismatch(f"no table row covers [{x}, {y}]")
@@ -125,13 +125,15 @@ class _PieceIndex:
 
 @lru_cache(maxsize=None)
 def _mode_grid(mode: HypothesisMode, pintz_max_n: int):
+    """The A table, the row indices of both tables, the merged breakpoints
+    bps of both, and for each merged interval [bps[j], bps[j+1]] its span:
+    the indices of the A and A* pieces that contain it."""
     atab = a_table(mode, pintz_max_n)
     astab = astar_table(mode, pintz_max_n)
-    bps: list[BoundaryPoint] = []
-    for b in sorted(atab.breakpoints() + astab.breakpoints()):
-        if not bps or bps[-1] < b:
-            bps.append(b)
-    return atab, _PieceIndex(atab), _PieceIndex(astab), bps
+    merged = list(_merged_cells(atab, astab))
+    bps = [lo for lo, _, _, _ in merged] + [merged[-1][1]]
+    spans = [(ka, ks) for _, _, ka, ks in merged]
+    return atab, _PieceIndex(atab), _PieceIndex(astab), bps, spans
 
 
 def objective_cells(
@@ -143,13 +145,15 @@ def objective_cells(
     """Feasible sigma-cells with their min-of-moments objectives.
 
     Cells follow the common refinement of both tables inside the feasible
-    region.  A degenerate region point on a table breakpoint produces one
-    point-cell per adjacent piece pair, which realizes the upper-regularized
-    (max over adjacent rows) reading of the tables.  Each cell carries an
-    upper bound on its objective from the maxima of its pieces.
+    region, and take their rows from the precompiled span of the merged
+    interval that contains them.  A degenerate region point on a table
+    breakpoint produces one point-cell per adjacent piece pair, which
+    realizes the upper-regularized (max over adjacent rows) reading of the
+    tables.  Each cell carries an upper bound on its objective from the
+    maxima of its pieces.
     """
     theta = _as_theta(theta)
-    atab, a_idx, astar_idx, bps = _mode_grid(mode, pintz_max_n)
+    atab, a_idx, astar_idx, bps, spans = _mode_grid(mode, pintz_max_n)
     c = 1 / (1 - theta)
     region = feasible_region(atab, c)
     cells: list[SupCell] = []
@@ -160,15 +164,15 @@ def objective_cells(
             objectives[id(row)] = _moment_rf(row.scaled, theta, moment)
         return objectives[id(row)]
 
-    def add_cell(x, y):
+    def add_cell(x, y, a_rows, star_rows):
         x_lo, y_hi = x.enclose_fraction(32)[0], y.enclose_fraction(32)[1]
-        for ra in a_idx.covering(x, y):
+        for ra in a_rows:
             if ra is None:
                 continue
             objs = [objective(ra, 2)]
             bound = ra.bound(theta, 2, x_lo, y_hi)
             if refined:
-                for rs in astar_idx.covering(x, y):
+                for rs in star_rows:
                     if rs is not None:
                         cells.append(SupCell(x, y, objs + [objective(rs, 4)],
                                              min(bound, rs.bound(theta, 4, x_lo, y_hi))))
@@ -177,12 +181,18 @@ def objective_cells(
 
     for rlo, rhi in region:
         if rlo == rhi:
-            add_cell(rlo, rhi)
+            add_cell(rlo, rhi, a_idx.covering(rlo, rhi),
+                     astar_idx.covering(rlo, rhi) if refined else ())
             continue
-        inner = bps[bisect_right(bps, rlo) : bisect_left(bps, rhi)]
-        cuts = [rlo, *inner, rhi]
-        for x, y in zip(cuts, cuts[1:]):
-            add_cell(x, y)
+        # cell k lies in merged interval j0 - 1 + k
+        j0 = bisect_right(bps, rlo)
+        cuts = [rlo, *bps[j0 : bisect_left(bps, rhi)], rhi]
+        for j, (x, y) in enumerate(zip(cuts, cuts[1:]), j0 - 1):
+            # dropping a feasible cell would under-estimate the sup: never allowed
+            if not 0 <= j < len(spans):
+                raise DomainMismatch(f"no table row covers [{x}, {y}]")
+            ka, ks = spans[j]
+            add_cell(x, y, [a_idx.row(ka)], [astar_idx.row(ks)] if refined else ())
     return cells
 
 

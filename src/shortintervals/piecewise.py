@@ -84,10 +84,14 @@ class RationalFunction:
 
     def eval_exact(self, x: "ExactValue") -> ExactValue:
         if isinstance(x, BoundaryPoint) and not x.is_rational:
-            den = polys.peval_boundary(self.den, x)
-            if den.sign() == 0:
+            du, dv = polys.peval_surd(self.den, x)
+            # r is not a square, so du + dv*sqrt(r) vanishes iff its norm does
+            norm = du * du - dv * dv * x.r
+            if norm == 0:
                 raise DenominatorVanishes(f"denominator vanishes at {x}")
-            val = polys.peval_boundary(self.num, x) / den
+            nu, nv = polys.peval_surd(self.num, x)
+            # multiply through by the conjugate du - dv*sqrt(r)
+            val = BoundaryPoint((nu * du - nv * dv * x.r) / norm, (nv * du - nu * dv) / norm, x.r)
             return val.as_fraction() if val.is_rational else val
         xf = x.as_fraction() if isinstance(x, BoundaryPoint) else Fraction(x)
         den = polys.peval(self.den, xf)
@@ -151,7 +155,7 @@ def _exact_max(values):
 class PiecewiseBound:
     """Ordered, exactly-abutting pieces covering [0, sigma_cap)."""
 
-    __slots__ = ("pieces", "_los", "_maxima")
+    __slots__ = ("pieces", "_los", "_maxima", "_den_signs")
 
     def __init__(self, pieces):
         pieces = tuple(pieces)
@@ -163,6 +167,7 @@ class PiecewiseBound:
         self.pieces = pieces
         self._los = [p.lo for p in pieces]
         self._maxima: dict[int, Fraction | None] = {}
+        self._den_signs: dict[int, int] = {}
 
     @property
     def lo(self) -> BoundaryPoint:
@@ -196,6 +201,14 @@ class PiecewiseBound:
             self._maxima[k] = None if p.rf is None else Fraction(
                 certified_sup([SupCell(p.lo, p.hi, [p.rf])], _MAX_TOL).upper)
         return self._maxima[k]
+
+    def den_sign(self, k: int) -> int:
+        """The sign of piece k's denominator, computed once.  It holds on the
+        whole closed cell once piece_max(k) has ruled out a pole there."""
+        if k not in self._den_signs:
+            p = self.pieces[k]
+            self._den_signs[k] = polys.sign_at(p.rf.den, rational_between(p.lo, p.hi))
+        return self._den_signs[k]
 
     def evaluate_upper(self, s):
         """Upper-regularized value at s: the max over all pieces touching s."""
@@ -232,7 +245,8 @@ def concat(a: PiecewiseBound, b: PiecewiseBound) -> PiecewiseBound:
 
 
 def _merged_cells(a: PiecewiseBound, b: PiecewiseBound):
-    """Common refinement: yields (lo, hi, piece_a, piece_b)."""
+    """Common refinement: yields (lo, hi, ka, kb), with ka and kb the indices
+    of the pieces of a and of b that contain [lo, hi]."""
     cuts: list[BoundaryPoint] = []
     for bp in sorted(a.breakpoints() + b.breakpoints(), key=_exact_cmp):
         if not cuts or cuts[-1] < bp:
@@ -243,7 +257,7 @@ def _merged_cells(a: PiecewiseBound, b: PiecewiseBound):
             ia += 1
         while not b.pieces[ib].hi > lo:
             ib += 1
-        yield lo, hi, a.pieces[ia], b.pieces[ib]
+        yield lo, hi, ia, ib
 
 
 def pointwise_min(
@@ -274,7 +288,8 @@ def pointwise_min(
         else:
             out.append(Piece(lo, hi, rf, prov))
 
-    for lo, hi, pa, pb in _merged_cells(a, b):
+    for lo, hi, ka, kb in _merged_cells(a, b):
+        pa, pb = a.pieces[ka], b.pieces[kb]
         if pa.rf is None or pb.rf is None:
             none_side = pa if pa.rf is None else pb
             emit(lo, hi, None, none_side.provenance)
@@ -332,9 +347,7 @@ def feasible_region(pw: PiecewiseBound, c: Fraction) -> list[tuple[BoundaryPoint
         if not diff:
             intervals.append((piece.lo, piece.hi))
             continue
-        # piece_max has ruled out a pole on the closed piece
-        den_sign = polys.sign_at(rf.den, rational_between(piece.lo, piece.hi))
-
+        den_sign = pw.den_sign(k)
         cuts: list[BoundaryPoint] = [piece.lo, piece.hi]
         brackets: list[tuple[BoundaryPoint, BoundaryPoint]] = []
         roots = polys.roots_in_closed_interval(diff, piece.lo, piece.hi)

@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 from .errors import NonConvergence, OutOfDomain
-from .exact import BoundaryPoint, as_boundary, sqrt_fraction
+from .exact import BoundaryPoint, _surd_sign, as_boundary, sqrt_fraction
 
 Poly = tuple[Fraction, ...]
 
@@ -75,11 +75,16 @@ def peval(a: Poly, x: Fraction) -> Fraction:
     return acc
 
 
-def peval_boundary(a: Poly, x: BoundaryPoint) -> BoundaryPoint:
-    acc = BoundaryPoint.rational(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
+def peval_surd(a: Poly, x: BoundaryPoint) -> tuple[Fraction, Fraction]:
+    """(u, v) with a(x) = u + v*sqrt(r) for x = p + q*sqrt(r), by one Horner
+    loop over rational pairs."""
+    if not a:
+        return ZERO, ZERO
+    p, q, qr = x.p, x.q, x.q * x.r
+    u, v = a[-1], ZERO
+    for c in reversed(a[:-1]):
+        u, v = u * p + v * qr + c, u * q + v * p
+    return u, v
 
 
 def sign_at(a: Poly, x) -> int:
@@ -87,7 +92,7 @@ def sign_at(a: Poly, x) -> int:
     if x.is_rational:
         v = peval(a, x.as_fraction())
         return (v > 0) - (v < 0)
-    return peval_boundary(a, x).sign()
+    return _surd_sign(*peval_surd(a, x), x.r)
 
 
 def pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
@@ -262,7 +267,9 @@ def roots_in_closed_interval(
     lo, hi = as_boundary(lo), as_boundary(hi)
     if lo > hi:
         raise ValueError("empty interval")
-    sf = squarefree_part(p)
+    # a quadratic's double root comes back once from _quadratic_roots, so
+    # only higher degrees need the gcd
+    sf = squarefree_part(p) if pdegree(p) > 2 else p
     if pdegree(sf) <= 0:
         return []
     if pdegree(sf) <= 2:

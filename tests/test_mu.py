@@ -1,3 +1,4 @@
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 from math import inf
 
@@ -15,7 +16,9 @@ from shortintervals.mu import (
     theta_grid,
 )
 from shortintervals.optimize import SupCell, certified_sup
-from shortintervals.tables import HypothesisMode, a_table
+from shortintervals.piecewise import feasible_region
+from shortintervals.polys import rational_between
+from shortintervals.tables import DEFAULT_PINTZ_MAX_N, HypothesisMode, a_table
 
 UNC = HypothesisMode.UNCONDITIONAL
 DH = HypothesisMode.DH
@@ -166,7 +169,7 @@ def test_mode_dominance_sampled():
                 assert s <= w + 1.1e-9, theta
 
 
-def test_uncovered_cell_raises():
+def test_uncovered_cell_raises(monkeypatch):
     # a feasible cell no table row covers must fail loudly, never be dropped
     table = a_table(UNC)
     index = mu._PieceIndex(table)
@@ -178,6 +181,59 @@ def test_uncovered_cell_raises():
         index.covering(F(99, 100), F(1))
     with pytest.raises(DomainMismatch):
         index.covering(b - F(1, 10**6), b + F(1, 10**6))
+    # cells past the last precompiled span, or before the first, have no rows
+    for lo, hi in ((F(99, 100), F(1)), (F(-1, 10), F(1, 10))):
+        region = [(BoundaryPoint(lo), BoundaryPoint(hi))]
+        monkeypatch.setattr(mu, "feasible_region", lambda pw, c, region=region: region)
+        with pytest.raises(DomainMismatch):
+            mu.objective_cells(F(1, 4))
+
+
+def _cells_by_covering(theta, mode, refined):
+    """objective_cells as (lo, hi, objectives, bound), with the rows of every
+    cell looked up by _PieceIndex.covering instead of the precompiled spans."""
+    atab, a_idx, astar_idx, bps, _ = mu._mode_grid(mode, DEFAULT_PINTZ_MAX_N)
+    out = []
+    for rlo, rhi in feasible_region(atab, 1 / (1 - theta)):
+        cuts = [rlo, *bps[bisect_right(bps, rlo) : bisect_left(bps, rhi)], rhi]
+        for x, y in [(rlo, rhi)] if rlo == rhi else zip(cuts, cuts[1:]):
+            x_lo, y_hi = x.enclose_fraction(32)[0], y.enclose_fraction(32)[1]
+            for ra in a_idx.covering(x, y):
+                if ra is None:
+                    continue
+                l2 = mu._moment_rf(ra.scaled, theta, 2)
+                bound = ra.bound(theta, 2, x_lo, y_hi)
+                if not refined:
+                    out.append((x, y, [l2], bound))
+                    continue
+                for rs in astar_idx.covering(x, y):
+                    if rs is not None:
+                        out.append((x, y, [l2, mu._moment_rf(rs.scaled, theta, 4)],
+                                    min(bound, rs.bound(theta, 4, x_lo, y_hi))))
+    return out
+
+
+@pytest.mark.parametrize("mode", [UNC, DH, LH, RH], ids=lambda m: m.value)
+def test_spans_match_covering(mode):
+    # each merged interval's precompiled rows are the ones the exact lookup
+    # finds inside it, and the cells built from them are those built by lookup
+    _, a_idx, astar_idx, bps, spans = mu._mode_grid(mode, DEFAULT_PINTZ_MAX_N)
+    assert len(spans) == len(bps) - 1
+    for (ka, ks), x, y in zip(spans, bps, bps[1:]):
+        a = rational_between(x, y)
+        b = rational_between(a, y)
+        (ra,), (rs,) = a_idx.covering(a, b), astar_idx.covering(a, b)
+        assert a_idx.row(ka) is ra and astar_idx.row(ks) is rs
+    for theta in (F(1, 10), F(1, 3), F(1, 2), F(17, 30), F(2, 3)):
+        for refined in (True, False):
+            got = [(c.lo, c.hi, c.objectives, c.bound)
+                   for c in mu.objective_cells(theta, mode, refined)]
+            want = _cells_by_covering(theta, mode, refined)
+            assert len(got) == len(want)
+            for (lo, hi, objs, bound), (x, y, ref_objs, ref_bound) in zip(got, want):
+                assert (lo.p, lo.q, lo.r, hi.p, hi.q, hi.r) == (x.p, x.q, x.r, y.p, y.q, y.r)
+                assert bound == ref_bound
+                assert [(f.num, f.den) for f in objs] == [(f.num, f.den) for f in ref_objs]
 
 
 def test_empty_theta_skips_root_isolation(monkeypatch):

@@ -7,9 +7,10 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from shortintervals import polys
 from shortintervals.errors import DenominatorVanishes, DomainMismatch, OutOfDomain
 from shortintervals.exact import BoundaryPoint
 from shortintervals.optimize import SupCell, certified_sup
@@ -290,6 +291,64 @@ def test_feasible_region_pole_raises_under_optimize_flag():
         "    except DenominatorVanishes:\n"
         "        continue\n"
         "    raise SystemExit(1)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0
+
+
+def _surd_horner(coeffs, x):
+    """coeffs(x) in plain BoundaryPoint arithmetic."""
+    acc = BoundaryPoint.rational(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+small = st.fractions(min_value=-20, max_value=20, max_denominator=50)
+coeff_lists = st.lists(small, min_size=1, max_size=5)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(num=coeff_lists, den=coeff_lists.filter(any), p=small, q=small.filter(bool),
+       r=st.sampled_from([2, 3, 5, 8, 12, 42121]))
+@example(num=[F(1)], den=[F(-2), F(0), F(1)], p=F(0), q=F(1), r=2)
+def test_surd_evaluation_matches_boundary_arithmetic(num, den, p, q, r):
+    # the Q(sqrt r) kernel gives the value, field and sign that
+    # BoundaryPoint arithmetic gives
+    x = BoundaryPoint(p, q, r)
+    f = RationalFunction(num, den)
+    want_num, want_den = _surd_horner(f.num, x), _surd_horner(f.den, x)
+    assert polys.sign_at(f.num, x) == want_num.sign()
+    assert polys.sign_at(f.den, x) == want_den.sign()
+    if want_den.sign() == 0:
+        with pytest.raises(DenominatorVanishes):
+            f.eval_exact(x)
+        return
+    want, got = want_num / want_den, f.eval_exact(x)
+    if want.is_rational:
+        assert type(got) is F and got == want.as_fraction()
+    else:
+        assert (got.p, got.q, got.r) == (want.p, want.q, want.r)
+
+
+def test_surd_pole_raises():
+    with pytest.raises(DenominatorVanishes):
+        rf((1,), (-2, 0, 1)).eval_exact(BoundaryPoint(0, 1, 2))
+
+
+def test_surd_pole_raises_under_optimize_flag():
+    code = (
+        "from fractions import Fraction as F\n"
+        "from shortintervals.errors import DenominatorVanishes\n"
+        "from shortintervals.exact import BoundaryPoint\n"
+        "from shortintervals.piecewise import RationalFunction\n"
+        "try:\n"
+        "    RationalFunction((F(1),), (F(-2), F(0), F(1))).eval_exact(BoundaryPoint(0, 1, 2))\n"
+        "except DenominatorVanishes:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))

@@ -1,12 +1,16 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shortintervals.errors import ShortIntervalsError
 from shortintervals.exact import BoundaryPoint
 from shortintervals.polys import (
     BracketedRoot,
     ExactRoot,
+    _quadratic_roots,
+    pdegree,
     pdivmod,
     peval,
     pgcd,
@@ -39,6 +43,59 @@ def test_squarefree_part_drops_multiplicity():
     roots = roots_in_closed_interval(sf, F(-2), F(2))
     vals = sorted(float(r.point) for r in roots)
     assert vals == pytest.approx([-1.0, 1 / 3])
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+positive = st.fractions(min_value=F(1, 144), max_value=4, max_denominator=144)
+
+
+@st.composite
+def degree_at_most_two_on_interval(draw):
+    """(p, lo, hi): a constant, a linear, a quadratic with two roots
+    (rational or surd) or none, or a perfect square, and a closed interval
+    with rational or surd ends, often wide enough to hold the roots, and
+    sometimes a single point at a rational root."""
+    c, b = draw(small.filter(bool)), draw(small)
+    kind = draw(st.sampled_from(["constant", "linear", "two roots", "no roots", "square"]))
+    roots = []
+    if kind == "constant":
+        p = (c,)
+    elif kind == "linear":
+        p, roots = (-c * b, c), [b]
+    elif kind == "square":
+        p, roots = pmul((c,), pmul((-b, F(1)), (-b, F(1)))), [b]
+    else:
+        # c (s^2 + b s + b^2/4 - e): roots -b/2 +- sqrt(e) for e > 0, none for e < 0
+        k = draw(st.one_of(st.none(), small.filter(bool)))
+        e = draw(positive) if k is None else k * k
+        if kind == "no roots":
+            e = -e
+        elif k is not None:
+            roots = [-b / 2 - k, -b / 2 + k]
+        p = (c * (b * b / 4 - e), c * b, c)
+    if roots and draw(st.booleans()):
+        lo = BoundaryPoint(draw(st.sampled_from(roots)))
+        return p, lo, lo
+    twelfths = st.integers(min_value=-48, max_value=12).map(lambda n: F(n, 12))
+    lo = draw(st.one_of(twelfths.map(BoundaryPoint),
+                        st.builds(BoundaryPoint, twelfths, small.filter(bool),
+                                  st.sampled_from([2, 3, 5, 7]))))
+    return p, lo, lo + F(draw(st.integers(min_value=0, max_value=96)), 12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=degree_at_most_two_on_interval())
+@example(case=(P(3, -8, 4), BoundaryPoint(0), BoundaryPoint(2)))  # roots 1/2, 3/2
+@example(case=(P(-2, 0, 1), BoundaryPoint(-2), BoundaryPoint(0, 1, 2)))  # -sqrt 2, sqrt 2
+@example(case=(P(9, -6, 1), BoundaryPoint(0, 1, 2), BoundaryPoint(3)))  # (s - 3)^2
+def test_quadratic_roots_skip_squarefree_part(case):
+    # without the gcd, degree <= 2 gives the roots the square-free part gives
+    p, lo, hi = case
+    sf = squarefree_part(p)
+    want = [b for b in (_quadratic_roots(sf) if pdegree(sf) > 0 else []) if lo <= b <= hi]
+    got = roots_in_closed_interval(p, lo, hi)
+    assert all(isinstance(root, ExactRoot) for root in got)
+    assert [(r.point.p, r.point.q, r.point.r) for r in got] == [(b.p, b.q, b.r) for b in want]
 
 
 def test_quadratic_exact_rational_roots():
