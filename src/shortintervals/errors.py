@@ -22,7 +22,8 @@ class NonConvergence(ShortIntervalsError):
 
 
 class InvalidFamilyIndex(ShortIntervalsError):
-    """Family piece requested for an index below the family's first member."""
+    """A family index below the family's first member, or a table cap index
+    that would end the tables before their finite rows do."""
 
 
 class OutOfRange(ShortIntervalsError):

@@ -11,16 +11,14 @@ value they bound is attained within tol/4.  The returned bracket
 """
 
 from fractions import Fraction
-from functools import cmp_to_key
 from itertools import chain, product
 from math import inf
 from operator import itemgetter
 
-from .errors import DenominatorVanishes, NonConvergence
+from . import polys
+from .errors import DenominatorVanishes, NonConvergence, OutOfDomain
 from .exact import BoundaryPoint, as_boundary, float_down, float_up
-from .polys import ExactRoot, pderiv, pmul, pscale, psub, roots_in_closed_interval, sign_at
-
-_exact_cmp = cmp_to_key(lambda a, b: a._compare(b))
+from .polys import ExactRoot, pderiv, pmul, pscale, psub, sign_at
 
 
 class SupCell:
@@ -73,30 +71,21 @@ def _argmin(values):
     return values[i], i
 
 
-def _exact_min(objectives, point):
-    """(min value, argmin index) over objectives, evaluated exactly."""
-    return _argmin([rf.eval_exact(point) for rf in objectives])
-
-
 def _point(x: BoundaryPoint):
     return x.as_fraction() if x.is_rational else x
 
 
 def _cuts(cell: SupCell):
-    """Sorted cuts of the cell, and the brackets of inexact critical points."""
-    cuts, brackets = [cell.lo, cell.hi], []
+    """Sorted cuts of the cell at the objectives' critical points, and for
+    each stretch between cuts whether it holds an inexact one."""
+    crits = []
     for rf in cell.objectives:
-        if roots_in_closed_interval(rf.den, cell.lo, cell.hi):
+        if polys.roots_in_closed_interval(rf.den, cell.lo, cell.hi):
             raise DenominatorVanishes(f"pole of {rf} in [{cell.lo}, {cell.hi}]")
         crit = psub(pmul(pderiv(rf.num), rf.den), pmul(rf.num, pderiv(rf.den)))
-        for root in roots_in_closed_interval(crit, cell.lo, cell.hi) if crit else ():
-            if isinstance(root, ExactRoot):
-                cuts.append(root.point)
-            else:
-                brackets.append((as_boundary(root.lo), as_boundary(root.hi)))
-                cuts += brackets[-1]
-    cuts.sort(key=_exact_cmp)
-    return [x for i, x in enumerate(cuts) if i == 0 or cuts[i - 1] < x], brackets
+        if crit:
+            crits.append(crit)
+    return polys.cut_at_roots(crits, cell.lo, cell.hi)[:2]
 
 
 def _bracket_bound(objectives, x, y, vx, vy, tol):
@@ -107,7 +96,7 @@ def _bracket_bound(objectives, x, y, vx, vy, tol):
     for rf, a, b in zip(objectives, vx, vy):
         bound = Fraction(_value_bounds(max(a, b))[1]) + tol / 2
         level = psub(rf.num, pscale(rf.den, bound))
-        if not level or not roots_in_closed_interval(level, x, y):
+        if not level or not polys.roots_in_closed_interval(level, x, y):
             bounds.append(bound)
     if not bounds:
         raise NonConvergence(f"cannot bound the objectives on [{x}, {y}] within tol")
@@ -118,10 +107,10 @@ def _crossing(objectives, up, dn, i, j, x, y, tol, found, bounds):
     """Candidate at the crossing of up-objective i and down-objective j in (x, y)."""
     fi, fj = objectives[i], objectives[j]
     diff = psub(pmul(fi.num, fj.den), pmul(fj.num, fi.den))
-    root = roots_in_closed_interval(diff, x, y)[0]
+    root = polys.roots_in_closed_interval(diff, x, y)[0]
     if isinstance(root, ExactRoot):
         t = _point(root.point)
-        found.append((*_exact_min(objectives, t), t))
+        found.append((*_argmin([rf.eval_exact(t) for rf in objectives]), t))
         return
     p, q = root.lo, root.hi
     s_p = sign_at(diff, p)
@@ -146,15 +135,15 @@ def _cell_sup(cell: SupCell, tol: Fraction, found: list, bounds: list):
     """Append the cell's attained (value, index, point) candidates to found,
     and the bounds on its bisected stretches to bounds."""
     objectives = cell.objectives
-    cuts, brackets = _cuts(cell)
+    cuts, bracketed = _cuts(cell)
     values = []
     for x in cuts:
         t = _point(x)
         values.append([rf.eval_exact(t) for rf in objectives])
         found.append((*_argmin(values[-1]), t))
-    for k in range(len(cuts) - 1):
+    for k, hidden in enumerate(bracketed):
         x, y, vx, vy = cuts[k], cuts[k + 1], values[k], values[k + 1]
-        if any(p <= x and y <= q for p, q in brackets):
+        if hidden:
             bounds.append(_bracket_bound(objectives, x, y, vx, vy, tol))
             continue
         # every objective is monotone on [x, y]; a constant one counts as both
@@ -172,16 +161,17 @@ def certified_sup(cells: list[SupCell], tol: Fraction | float) -> SupResult:
     the witness is an exact point whose objective value is >= lower, and
     active_index is the first objective attaining the min there.  An empty
     cell list yields the empty-supremum convention (-inf).  Raises
-    DenominatorVanishes when an objective has a pole in a closed cell, and
-    NonConvergence when tol is narrower than the float bracket can be.
+    OutOfDomain when tol is not positive, DenominatorVanishes when an
+    objective has a pole in a closed cell, and NonConvergence when tol is
+    narrower than the float bracket can be.
 
     Cells are visited by decreasing bound, and a cell whose bound + tol is
     below a value already attained is skipped: it cannot hold the witness
     nor raise the upper end.  Ties still go to the first cell in list order.
     """
+    if not tol > 0:
+        raise OutOfDomain(f"tol must be positive, got {tol}")
     tol_f = float_down(Fraction(tol)) if not isinstance(tol, float) else tol
-    if tol_f <= 0:
-        raise ValueError("tol must be positive")
     if not cells:
         return SupResult(-inf, -inf, None, None)
     tol = Fraction(tol)

@@ -9,7 +9,6 @@ majorant of whatever the individual rows bound.
 
 from bisect import bisect_right
 from fractions import Fraction
-from functools import cmp_to_key
 from math import inf
 
 from . import polys
@@ -18,7 +17,6 @@ from .exact import BoundaryPoint, as_boundary
 from .optimize import SupCell, certified_sup
 from .polys import (
     DEFAULT_BRACKET_WIDTH,
-    ExactRoot,
     Poly,
     pmul,
     pscale,
@@ -27,7 +25,6 @@ from .polys import (
     rational_between,
 )
 
-_exact_cmp = cmp_to_key(lambda a, b: as_boundary(a)._compare(b))
 _MAX_TOL = Fraction(1, 10**9)
 
 ExactValue = Fraction | BoundaryPoint
@@ -155,7 +152,7 @@ def _exact_max(values):
 class PiecewiseBound:
     """Ordered, exactly-abutting pieces covering [0, sigma_cap)."""
 
-    __slots__ = ("pieces", "_los", "_maxima", "_den_signs")
+    __slots__ = ("pieces", "_los", "_maxima")
 
     def __init__(self, pieces):
         pieces = tuple(pieces)
@@ -167,7 +164,6 @@ class PiecewiseBound:
         self.pieces = pieces
         self._los = [p.lo for p in pieces]
         self._maxima: dict[int, Fraction | None] = {}
-        self._den_signs: dict[int, int] = {}
 
     @property
     def lo(self) -> BoundaryPoint:
@@ -201,14 +197,6 @@ class PiecewiseBound:
             self._maxima[k] = None if p.rf is None else Fraction(
                 certified_sup([SupCell(p.lo, p.hi, [p.rf])], _MAX_TOL).upper)
         return self._maxima[k]
-
-    def den_sign(self, k: int) -> int:
-        """The sign of piece k's denominator, computed once.  It holds on the
-        whole closed cell once piece_max(k) has ruled out a pole there."""
-        if k not in self._den_signs:
-            p = self.pieces[k]
-            self._den_signs[k] = polys.sign_at(p.rf.den, rational_between(p.lo, p.hi))
-        return self._den_signs[k]
 
     def evaluate_upper(self, s):
         """Upper-regularized value at s: the max over all pieces touching s."""
@@ -248,7 +236,7 @@ def _merged_cells(a: PiecewiseBound, b: PiecewiseBound):
     """Common refinement: yields (lo, hi, ka, kb), with ka and kb the indices
     of the pieces of a and of b that contain [lo, hi]."""
     cuts: list[BoundaryPoint] = []
-    for bp in sorted(a.breakpoints() + b.breakpoints(), key=_exact_cmp):
+    for bp in sorted(a.breakpoints() + b.breakpoints()):
         if not cuts or cuts[-1] < bp:
             cuts.append(bp)
     ia = ib = 0
@@ -270,7 +258,8 @@ def pointwise_min(
     On each cell of the common refinement the formulas' crossing points are
     inserted as new breakpoints: exactly when they are rational or quadratic
     over Q, otherwise as a certified bracket of width <= bracket_width in
-    which the larger (conservative) formula is kept.
+    which the larger (conservative) formula is kept.  Root isolation starts
+    from the cell, so brackets lie inside it and need no clipping.
     """
     if not (a.lo == b.lo and a.sigma_cap == b.sigma_cap):
         raise DomainMismatch(
@@ -298,27 +287,11 @@ def pointwise_min(
         if not diff:
             emit(lo, hi, pa.rf, pa.provenance)
             continue
-        cuts: list[BoundaryPoint] = [lo, hi]
-        brackets: list[tuple[BoundaryPoint, BoundaryPoint]] = []
-        for root in polys.roots_in_closed_interval(diff, lo, hi, bracket_width):
-            if isinstance(root, ExactRoot):
-                if lo < root.point < hi:
-                    cuts.append(root.point)
-            else:
-                bl = max(as_boundary(root.lo), lo, key=_exact_cmp)
-                bh = min(as_boundary(root.hi), hi, key=_exact_cmp)
-                brackets.append((bl, bh))
-                if lo < bl:
-                    cuts.append(bl)
-                if bh < hi:
-                    cuts.append(bh)
-        cuts.sort(key=_exact_cmp)
-        for x, y in zip(cuts, cuts[1:]):
-            if not x < y:
-                continue
+        cuts, bracketed, _ = polys.cut_at_roots([diff], lo, hi, bracket_width)
+        for x, y, hidden in zip(cuts, cuts[1:], bracketed):
             t = rational_between(x, y)
-            va, vb = as_boundary(pa.rf.eval_exact(t)), as_boundary(pb.rf.eval_exact(t))
-            if any(bl <= x and y <= bh for bl, bh in brackets):
+            va, vb = pa.rf.eval_exact(t), pb.rf.eval_exact(t)
+            if hidden:
                 # a crossing hides inside: keep the larger formula (conservative)
                 winner = pa if va >= vb else pb
             else:
@@ -347,37 +320,16 @@ def feasible_region(pw: PiecewiseBound, c: Fraction) -> list[tuple[BoundaryPoint
         if not diff:
             intervals.append((piece.lo, piece.hi))
             continue
-        den_sign = pw.den_sign(k)
-        cuts: list[BoundaryPoint] = [piece.lo, piece.hi]
-        brackets: list[tuple[BoundaryPoint, BoundaryPoint]] = []
-        roots = polys.roots_in_closed_interval(diff, piece.lo, piece.hi)
-        for root in roots:
-            if isinstance(root, ExactRoot):
-                # equality point: feasible on its own, possibly isolated
-                intervals.append((root.point, root.point))
-                if piece.lo < root.point < piece.hi:
-                    cuts.append(root.point)
-            else:
-                bl = max(as_boundary(root.lo), piece.lo, key=_exact_cmp)
-                bh = min(as_boundary(root.hi), piece.hi, key=_exact_cmp)
-                brackets.append((bl, bh))
-                if piece.lo < bl:
-                    cuts.append(bl)
-                if bh < piece.hi:
-                    cuts.append(bh)
-        cuts.sort(key=_exact_cmp)
-
-        for x, y in zip(cuts, cuts[1:]):
-            if not x < y:
-                continue
-            if any(bl <= x and y <= bh for bl, bh in brackets):
-                intervals.append((x, y))  # crossing bracket: round outward
-                continue
-            t = rational_between(x, y)
-            if den_sign * polys.peval(diff, t) > 0:
+        cuts, bracketed, exact = polys.cut_at_roots([diff], piece.lo, piece.hi)
+        # equality points are feasible on their own, possibly isolated
+        intervals += [(x, x) for x in exact]
+        for x, y, hidden in zip(cuts, cuts[1:], bracketed):
+            # a crossing bracket rounds outward; on any other stretch rf - c
+            # has one sign (piece_max(k) has ruled out a pole), read inside
+            if hidden or rf.eval_exact(rational_between(x, y)) > c:
                 intervals.append((x, y))
 
-    intervals.sort(key=lambda iv: (_exact_cmp(iv[0]), _exact_cmp(iv[1])))
+    intervals.sort()
     merged: list[tuple[BoundaryPoint, BoundaryPoint]] = []
     for lo, hi in intervals:
         if merged and not merged[-1][1] < lo:

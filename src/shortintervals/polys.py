@@ -2,11 +2,11 @@
 
 Supports the root classification needed by the piecewise algebra: linear and
 quadratic factors give exact BoundaryPoint roots, anything of higher degree
-falls back to Sturm isolation with certified rational brackets.
+falls back to Sturm isolation with certified rational brackets.  cut_at_roots
+is the one place where an interval is cut at such roots.
 """
 
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .errors import NonConvergence, OutOfDomain
 from .exact import BoundaryPoint, _surd_sign, as_boundary, sqrt_fraction
@@ -324,9 +324,33 @@ def roots_in_closed_interval(
     if sign_at(sf, hi) == 0:
         out.append(ExactRoot(hi))
 
-    def _rep(root: Root) -> BoundaryPoint:
-        # bracket lo is never itself a root, so representatives are distinct
-        return root.point if isinstance(root, ExactRoot) else BoundaryPoint.rational(root.lo)
-
-    out.sort(key=cmp_to_key(lambda x, y: _rep(x)._compare(_rep(y))))
+    # bracket lo is never itself a root, so the keys are distinct
+    out.sort(key=lambda root: root.point if isinstance(root, ExactRoot) else root.lo)
     return out
+
+
+def cut_at_roots(
+    ps, lo, hi, bracket_width: Fraction = DEFAULT_BRACKET_WIDTH
+) -> tuple[list[BoundaryPoint], list[bool], list[BoundaryPoint]]:
+    """Cut [lo, hi] at the roots of the nonzero polynomials ps.
+
+    Returns (cuts, bracketed, exact): cuts are the distinct points lo, ..., hi
+    in ascending order; bracketed[k] tells whether [cuts[k], cuts[k+1]] lies
+    inside the certified bracket of an inexact root, and on every other
+    stretch each polynomial has one nonzero sign; exact lists the exact roots.
+    Of equal points the first one found is kept, lo and hi before the roots.
+    """
+    lo, hi = as_boundary(lo), as_boundary(hi)
+    points, brackets, exact = [lo, hi], [], []
+    for p in ps:
+        for root in roots_in_closed_interval(p, lo, hi, bracket_width):
+            if isinstance(root, ExactRoot):
+                exact.append(root.point)
+                points.append(root.point)
+            else:
+                brackets.append((as_boundary(root.lo), as_boundary(root.hi)))
+                points += brackets[-1]
+    points.sort()
+    cuts = [x for i, x in enumerate(points) if i == 0 or points[i - 1] < x]
+    bracketed = [any(p <= x and y <= q for p, q in brackets) for x, y in zip(cuts, cuts[1:])]
+    return cuts, bracketed, exact

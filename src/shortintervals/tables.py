@@ -120,6 +120,10 @@ def pintz_piece(n: int) -> Piece:
 
 
 def sigma_cap(pintz_max_n: int = DEFAULT_PINTZ_MAX_N) -> Fraction:
+    """Right edge of the tables when the family runs up to n = pintz_max_n;
+    n = 5 (no family rows) ends them at 59/60, where the finite rows end."""
+    if pintz_max_n < 5:
+        raise InvalidFamilyIndex(f"the tables need a family index of at least 5, got {pintz_max_n}")
     return 1 - F(1, 2 * pintz_max_n * (pintz_max_n + 1))
 
 
@@ -448,20 +452,16 @@ class TableDiagnostics:
 
 def _piece_positive(piece: Piece) -> bool:
     """Certify value >= 0 on the closed cell (0 allowed for clipped pieces)."""
-    if piece.rf is None:
+    rf = piece.rf
+    if rf is None:
         return False
-    if not piece.rf.num:
+    if not rf.num:
         return True  # identically zero
-    lo_v = piece.value_at(piece.lo)
-    hi_v = piece.value_at(piece.hi)
-    if as_boundary(lo_v).sign() < 0 or as_boundary(hi_v).sign() < 0:
-        return False
-    interior = [
-        r
-        for r in polys.roots_in_closed_interval(piece.rf.num, piece.lo, piece.hi)
-        if isinstance(r, polys.ExactRoot) and piece.lo < r.point < piece.hi
-    ]
-    return not interior
+    lo, hi = piece.lo, piece.hi
+    # with no cut inside, numerator and denominator keep one sign on (lo, hi)
+    cuts = polys.cut_at_roots([rf.num, rf.den], lo, hi)[0]
+    return len(cuts) == 2 and all(
+        rf.eval_exact(s) >= 0 for s in (lo, polys.rational_between(lo, hi), hi))
 
 
 def validate_tables(

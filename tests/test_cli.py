@@ -71,11 +71,34 @@ def test_mu_domain_error(capsys):
     assert dispatch(["mu", "--theta", "1.5"]) == 2
 
 
+@pytest.mark.parametrize("tol", ["0", "-1"])
+@pytest.mark.parametrize("theta", ["1/2", "3/4"])  # 3/4 is EMPTY
+def test_mu_non_positive_tol_is_a_domain_error(capsys, tol, theta):
+    assert dispatch(["--tol", tol, "mu", "--theta", theta]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("n", ["0", "-1", "4"])
+@pytest.mark.parametrize("mode", ["unconditional", "dh"])
+def test_sigma_cap_n_below_the_finite_rows_is_a_domain_error(capsys, n, mode):
+    assert dispatch(["--sigma-cap-n", n, "mu", "--theta", "1/2", "--mode", mode]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_sigma_cap_n_at_the_finite_rows_runs(capsys):
+    rc, out = run(capsys, "--sigma-cap-n", "5", "--format", "json", "mu", "--theta", "17/30")
+    assert rc == 0
+    assert json.loads(out)["active"] == "L4"
+
+
 def test_mu_convergence_error(capsys):
     rc = dispatch(
         ["--tol", "1/100000000000000000000", "mu", "--theta", "0.5", "--mode", "dh"]
     )
     assert rc == 3
+    # positive, though below the smallest double: cannot be met, not a domain error
+    tiny = "1/1" + "0" * 400
+    assert dispatch(["--tol", tiny, "mu", "--theta", "0.5", "--mode", "dh"]) == 3
 
 
 # ----- curve -------------------------------------------------------------------

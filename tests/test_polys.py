@@ -10,6 +10,7 @@ from shortintervals.polys import (
     BracketedRoot,
     ExactRoot,
     _quadratic_roots,
+    cut_at_roots,
     pdegree,
     pdivmod,
     peval,
@@ -22,6 +23,7 @@ from shortintervals.polys import (
     sturm_chain,
     count_roots_open,
 )
+from shortintervals.polys import DEFAULT_BRACKET_WIDTH
 
 
 def P(*coeffs):
@@ -166,3 +168,79 @@ def test_rational_between_empty_interval_raises():
         rational_between(F(1, 2), F(1, 2))
     with pytest.raises(ShortIntervalsError):
         rational_between(BoundaryPoint(0, 1, 2), F(1))
+
+
+@st.composite
+def polys_on_interval(draw):
+    """(ps, lo, hi): one to three polynomials, each a constant times one or
+    two factors (a rational linear, a quadratic with surd roots, or an
+    irreducible cubic (s - b)^3 - a), on an interval with rational or surd
+    ends, sometimes a single point, often at a rational root."""
+    def factor():
+        kind = draw(st.sampled_from(["linear", "surd", "cubic"]))
+        b = draw(small)
+        if kind == "linear":
+            return P(-b, 1)
+        if kind == "surd":
+            # (s - b)^2 - e: roots b +- sqrt(e)
+            e = draw(st.sampled_from([2, 3, 5, 7])) * draw(st.sampled_from([F(1), F(1, 4), F(1, 9)]))
+            return P(b * b - e, -2 * b, 1)
+        a = draw(st.sampled_from([2, 3, 5, F(1, 2), F(-3, 4), F(7, 3)]))
+        cube = pmul(pmul(P(-b, 1), P(-b, 1)), P(-b, 1))
+        return (cube[0] - a,) + cube[1:]
+
+    ps = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        p = (draw(small.filter(bool)),)
+        for _ in range(draw(st.integers(min_value=1, max_value=2))):
+            p = pmul(p, factor())
+        ps.append(p)
+    if draw(st.booleans()):
+        lo = BoundaryPoint(draw(small)) if draw(st.booleans()) else None
+        if lo is None:  # a rational root of one of the polynomials, if any
+            rational = [r.point for p in ps for r in roots_in_closed_interval(p, F(-9), F(9))
+                        if isinstance(r, ExactRoot) and r.point.is_rational]
+            lo = draw(st.sampled_from(rational)) if rational else BoundaryPoint(0)
+        return ps, lo, lo
+    twelfths = st.integers(min_value=-48, max_value=12).map(lambda n: F(n, 12))
+    lo = draw(st.one_of(twelfths.map(BoundaryPoint),
+                        st.builds(BoundaryPoint, twelfths, small.filter(bool),
+                                  st.sampled_from([2, 3, 5, 7]))))
+    return ps, lo, lo + F(draw(st.integers(min_value=1, max_value=96)), 12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=polys_on_interval(),
+       width=st.sampled_from([DEFAULT_BRACKET_WIDTH, F(1, 1000)]))
+@example(case=([P(-2, 0, 0, 1), P(-1, 1)], BoundaryPoint(0), BoundaryPoint(2)),
+         width=DEFAULT_BRACKET_WIDTH)  # cube root of 2 bracketed, 1 exact
+@example(case=([P(-2, 0, 1), P(-2, 0, 1)], BoundaryPoint(-2), BoundaryPoint(0, 1, 2)),
+         width=DEFAULT_BRACKET_WIDTH)  # the same surd roots twice
+def test_cut_at_roots_contract(case, width):
+    ps, lo, hi = case
+    cuts, bracketed, exact = cut_at_roots(ps, lo, hi, width)
+    assert cuts[0] == lo and cuts[-1] == hi
+    assert all(x < y for x, y in zip(cuts, cuts[1:]))
+    assert len(bracketed) == len(cuts) - 1
+
+    def at(x):
+        return next(k for k, c in enumerate(cuts) if c == x)
+
+    n_exact = 0
+    for p in ps:
+        for root in roots_in_closed_interval(p, lo, hi, width):
+            if isinstance(root, ExactRoot):
+                n_exact += 1
+                assert any(root.point == x for x in exact)
+                at(root.point)
+            else:
+                i, j = at(root.lo), at(root.hi)
+                assert i < j and all(bracketed[i:j])
+    assert len(exact) == n_exact
+    chains = [sturm_chain(squarefree_part(p)) for p in ps]
+    for x, y, hidden in zip(cuts, cuts[1:], bracketed):
+        if hidden:
+            assert y <= x + width
+        else:
+            # an independent reference: no root of any p inside the stretch
+            assert all(count_roots_open(chain, x, y) == 0 for chain in chains)

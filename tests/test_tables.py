@@ -6,8 +6,11 @@ import pytest
 from shortintervals.errors import InvalidFamilyIndex, ParseError
 from shortintervals.exact import BoundaryPoint
 from shortintervals.optimize import SupCell, certified_sup
+from shortintervals.piecewise import Piece, RationalFunction
+from shortintervals.polys import pmul
 from shortintervals.tables import (
     HypothesisMode,
+    _piece_positive,
     a_table,
     astar_table,
     checksum_rows,
@@ -126,6 +129,31 @@ def test_sigma_cap_and_coverage():
             d = validate_tables(mode, which)
             assert d.covers, (mode, which)
             assert d.all_positive or mode is RH, (mode, which)
+
+
+def test_sigma_cap_below_the_finite_rows_raises():
+    # n = 5 ends the tables at 59/60, exactly where the finite rows end
+    assert sigma_cap(5) == F(59, 60)
+    assert a_table(UNC, 5).sigma_cap == astar_table(DH, 5).sigma_cap == F(59, 60)
+    for n in (4, 3, 0, -1):
+        with pytest.raises(InvalidFamilyIndex):
+            sigma_cap(n)
+        with pytest.raises(InvalidFamilyIndex):
+            a_table(LH, n)
+
+
+def test_piece_positive_sees_bracketed_roots_and_poles():
+    negative_inside = [
+        # (s^3 - 1/4)(s^3 - 1/2): two bracketed roots, negative between them
+        RationalFunction(pmul((F(-1, 4), F(0), F(0), F(1)), (F(-1, 2), F(0), F(0), F(1)))),
+        # two poles, negative between them
+        RationalFunction((F(1),), pmul((F(-1, 3), F(1)), (F(-2, 3), F(1)))),
+        # s^2 - s: zero at both ends, negative inside
+        RationalFunction((F(0), F(-1), F(1))),
+    ]
+    for rf in negative_inside:
+        assert not _piece_positive(Piece(0, 1, rf)), rf
+    assert _piece_positive(Piece(0, 1, RationalFunction((F(0), F(1), F(-1)))))  # s - s^2
 
 
 def test_validate_reports_pintz_jump():
