@@ -377,7 +377,8 @@ def build_parser() -> _Parser:
     common.add_argument("--tol", type=_exact_arg, default=argparse.SUPPRESS,
                         help="certification tolerance (exact rational or decimal)")
     common.add_argument("--sigma-cap-n", type=int, default=argparse.SUPPRESS,
-                        help="largest family index; sets the table right edge")
+                        help="largest family index (5 to %d); sets the table right edge"
+                        % tables.MAX_FAMILY_INDEX)
 
     p = _Parser(prog="shortintervals", description=__doc__.splitlines()[0],
                 parents=[common])

@@ -11,6 +11,12 @@ exactly; on each cell the supremum is taken over exact candidate points
 (cell ends, critical points and crossings of the two moments), with
 irrational crossings bisected to the tolerance.  Dropping the second
 (fourth-moment) term gives the weaker second-moment-only variant.
+
+Theta enters only through 1-t.  Each table row is compiled once, on first
+use, into integer polynomials (_Row), and a theta = a/b builds every
+polynomial it needs, objectives, critical points and crossings, as
+(b-a)X + b*Y from them (_Moment, _MuCell): one scale and one add each.
+optimize.certified_sup takes the supremum over these cells unchanged.
 """
 
 from bisect import bisect_left, bisect_right
@@ -22,7 +28,9 @@ from .errors import DomainMismatch, OutOfDomain
 from .exact import BoundaryPoint, as_boundary
 from .optimize import SupCell, SupResult, certified_sup
 from .piecewise import PiecewiseBound, RationalFunction, _merged_cells, feasible_region
-from .polys import ONE, Poly, padd, pdivmod, pgcd, pmul, pscale
+from .polys import (
+    ONE, Poly, common_ints, lincomb, pdivmod, pderiv, pgcd, pmul, pscale, psub, ratio_at,
+)
 from .tables import DEFAULT_PINTZ_MAX_N, HypothesisMode, a_table, astar_table
 
 DEFAULT_TOL = Fraction(1, 10**9)
@@ -71,47 +79,110 @@ def _scaled_row(rf: RationalFunction) -> tuple[Poly, Poly]:
     return pdivmod(num, g)[0], pdivmod(rf.den, g)[0]
 
 
-def _moment_rf(scaled: tuple[Poly, Poly], theta: Fraction, moment: int) -> RationalFunction:
-    """((1-t)G + (m*s - m + 1) H) / H for the scaled row G/H = (1-s)P/Q.
-
-    With G/H in lowest terms so is the result, since gcd((1-t)G, H) = 1.
-    """
-    g, h = scaled
-    affine = (Fraction(1 - moment), Fraction(moment))
-    return RationalFunction(padd(pscale(g, 1 - theta), pmul(affine, h)), h)
+def _ints(p: Poly) -> tuple[int, ...]:
+    """An integral polynomial's coefficients as ints."""
+    return tuple(map(int, p))
 
 
 class _Row:
-    """A covering piece's scaled row and the piece's maximum."""
+    """A covering piece's row, compiled once for the per-theta kernels, and
+    the piece's maximum.
 
-    __slots__ = ("scaled", "top")
+    G/H = (1-s)P/Q in lowest terms, written over the integers: times the
+    common denominator `scale` of its coefficients and not divided by their
+    content, so each kernel over its integer scale is exactly the rational
+    polynomial of the generic construction, and a surd root of it has the
+    same canonical form (see polys._quadratic_roots).  The moment-m objective at
+    theta = a/b is ((b-a)G + b*Y)/(b*H) with Y = (m*s - m + 1)H, and the
+    numerator of its derivative is ((b-a)W + b*m*H^2)/(b*scale^2) with
+    W = G'H - GH': a theta only scales and adds these.
+    """
 
-    def __init__(self, scaled: tuple[Poly, Poly], top: Fraction):
-        self.scaled = scaled
-        self.top = top
+    __slots__ = ("m", "g", "h", "y", "w", "mh2", "scale", "top", "_crossings")
 
-    def bound(self, theta: Fraction, moment: int, x_lo: Fraction, y_hi: Fraction) -> Fraction:
-        """Upper bound on the moment objective over a cell [x, y] of the
-        piece, given rationals x_lo <= x and y_hi >= y: there 0 <= 1-s <= 1-x,
-        so (1-s)A(s) <= (1-x)*top when top >= 0 and <= (1-y)*top otherwise."""
-        weight = 1 - x_lo if self.top >= 0 else 1 - y_hi
-        return (1 - theta) * weight * self.top + moment * y_hi - (moment - 1)
+    def __init__(self, rf: RationalFunction, top: Fraction, m: int):
+        (g, h), self.scale = common_ints(*_scaled_row(rf))
+        self.m, self.g, self.h, self.top = m, g, h, top
+        self.y = _ints(pmul((1 - m, m), h))
+        self.w = _ints(psub(pmul(pderiv(g), h), pmul(g, pderiv(h))))
+        self.mh2 = _ints(pscale(pmul(h, h), m))
+        self._crossings: dict[_Row, tuple] = {}
+
+    def crossing_kernel(self, star: "_Row") -> tuple:
+        """(X, Y, scale) for this second-moment row G/H and the
+        fourth-moment row star G*/H*, computed once: at theta = a/b their
+        objectives cross at the roots of ((b-a)X + b*Y)/(b*scale), with
+        X = G H* - G* H and Y = 2(1-s) H H*."""
+        if star not in self._crossings:
+            h2 = pmul(self.h, star.h)
+            self._crossings[star] = (_ints(psub(pmul(self.g, star.h), pmul(star.g, self.h))),
+                                     _ints(pmul((2, -2), h2)), self.scale * star.scale)
+        return self._crossings[star]
+
+
+class _Moment:
+    """A row's moment objective at theta = a/b, as the integer quotient
+    num/den = ((b-a)G + b*Y)/(b*H) (see _Row)."""
+
+    __slots__ = ("row", "a", "b", "num", "den", "top", "_critical")
+
+    def __init__(self, row: _Row, a: int, b: int):
+        self.row, self.a, self.b = row, a, b
+        self.num = lincomb(b - a, row.g, b, row.y)
+        self.den = tuple(b * x for x in row.h)
+        self.top = Fraction(b - a, b) * row.top  # (1-t) times the piece's maximum
+        self._critical = None
+
+    def bound(self, x_lo: Fraction, y_hi: Fraction) -> Fraction:
+        """Upper bound on the objective over a cell [x, y] of the piece,
+        given rationals x_lo <= x and y_hi >= y: there 0 <= 1-s <= 1-x, so
+        (1-s)A(s) <= (1-x)*top when top >= 0 and <= (1-y)*top otherwise."""
+        m = self.row.m
+        return self.top * (1 - x_lo if self.top >= 0 else 1 - y_hi) + (m * y_hi - (m - 1))
+
+    def eval_exact(self, x):
+        return ratio_at(self.num, self.den, x)
+
+    def critical(self) -> tuple:
+        """(p, den) for the numerator of the derivative, built on first use."""
+        if self._critical is None:
+            row, b = self.row, self.b
+            self._critical = lincomb(b - self.a, row.w, b, row.mh2), b * row.scale**2
+        return self._critical
+
+
+class _MuCell(SupCell):
+    """A cell of the mu objective, whose kernels are its rows' compiled ones.
+    It needs no pole check: H is its row's own denominator, and the row's
+    piece_max has ruled out a pole on the whole closed piece."""
+
+    __slots__ = ()
+
+    def critical_polys(self) -> list:
+        return [crit for crit in (f.critical() for f in self.objectives) if crit[0]]
+
+    def crossing(self, i: int, j: int) -> tuple:
+        # the only pair is (L2, L4); the sign of the polynomial is immaterial
+        l2, l4 = self.objectives
+        x, y, scale = l2.row.crossing_kernel(l4.row)
+        return lincomb(l2.b - l2.a, x, l2.b, y), l2.b * scale
 
 
 class _PieceIndex:
-    """The rows of a bound's pieces.  The theta-independent row of a piece is
-    built on its first use, since rows outside every feasible region (the
-    family rows near 1) never need it."""
+    """The rows of a bound's pieces for moment m.  The theta-independent row
+    of a piece is compiled on its first use, since rows outside every
+    feasible region (the family rows near 1) never need it."""
 
-    def __init__(self, pw: PiecewiseBound):
+    def __init__(self, pw: PiecewiseBound, m: int):
         self.pw = pw
+        self.m = m
         self.rows: dict[int, _Row | None] = {}
 
     def row(self, k: int) -> _Row | None:
         """The row of piece k (None for -inf)."""
         if k not in self.rows:
             rf = self.pw.pieces[k].rf
-            self.rows[k] = None if rf is None else _Row(_scaled_row(rf), self.pw.piece_max(k))
+            self.rows[k] = None if rf is None else _Row(rf, self.pw.piece_max(k), self.m)
         return self.rows[k]
 
     def covering(self, x, y) -> list[_Row | None]:
@@ -133,7 +204,7 @@ def _mode_grid(mode: HypothesisMode, pintz_max_n: int):
     merged = list(_merged_cells(atab, astab))
     bps = [lo for lo, _, _, _ in merged] + [merged[-1][1]]
     spans = [(ka, ks) for _, _, ka, ks in merged]
-    return atab, _PieceIndex(atab), _PieceIndex(astab), bps, spans
+    return atab, _PieceIndex(atab, 2), _PieceIndex(astab, 4), bps, spans
 
 
 def objective_cells(
@@ -157,27 +228,27 @@ def objective_cells(
     c = 1 / (1 - theta)
     region = feasible_region(atab, c)
     cells: list[SupCell] = []
-    objectives: dict[int, RationalFunction] = {}  # by row, built once per theta
+    objectives: dict[_Row, _Moment] = {}  # by row, built once per theta
 
-    def objective(row, moment):
-        if id(row) not in objectives:
-            objectives[id(row)] = _moment_rf(row.scaled, theta, moment)
-        return objectives[id(row)]
+    def objective(row):
+        if row not in objectives:
+            objectives[row] = _Moment(row, theta.numerator, theta.denominator)
+        return objectives[row]
 
     def add_cell(x, y, a_rows, star_rows):
         x_lo, y_hi = x.enclose_fraction(32)[0], y.enclose_fraction(32)[1]
         for ra in a_rows:
             if ra is None:
                 continue
-            objs = [objective(ra, 2)]
-            bound = ra.bound(theta, 2, x_lo, y_hi)
+            l2 = objective(ra)
+            bound = l2.bound(x_lo, y_hi)
             if refined:
                 for rs in star_rows:
                     if rs is not None:
-                        cells.append(SupCell(x, y, objs + [objective(rs, 4)],
-                                             min(bound, rs.bound(theta, 4, x_lo, y_hi))))
+                        l4 = objective(rs)
+                        cells.append(_MuCell(x, y, (l2, l4), min(bound, l4.bound(x_lo, y_hi))))
             else:
-                cells.append(SupCell(x, y, objs, bound))
+                cells.append(_MuCell(x, y, (l2,), bound))
 
     for rlo, rhi in region:
         if rlo == rhi:

@@ -2,7 +2,11 @@
 
 Each closed cell is split at the exact roots of every objective's
 critical-point polynomial N'D - ND', so every objective is monotone between
-consecutive cuts.  There the maximum of the min lies at a cut or at a
+consecutive cuts.  The cell supplies those polynomials and the crossing
+polynomial of two objectives: a hand-built SupCell derives them from its
+objectives' numerators and denominators, after checking that no objective
+has a pole in the cell, and a subclass may supply precompiled ones (the mu
+cells do).  There the maximum of the min lies at a cut or at a
 crossing of a non-decreasing and a non-increasing objective.  Cuts and
 crossings with rational or quadratic roots are evaluated exactly; other
 crossings are bisected on the sign of the difference polynomial until the
@@ -36,6 +40,25 @@ class SupCell:
         if not self.objectives:
             raise ValueError("cell without objectives")
         self.bound = bound
+
+    def critical_polys(self) -> list:
+        """Pairs (p, den) whose polynomials p/den hold the critical points
+        of the objectives: each nonzero N'D - ND'.  Raises
+        DenominatorVanishes when an objective has a pole in the closed cell."""
+        out = []
+        for rf in self.objectives:
+            if polys.roots_in_closed_interval(rf.den, self.lo, self.hi):
+                raise DenominatorVanishes(f"pole of {rf} in [{self.lo}, {self.hi}]")
+            crit = psub(pmul(pderiv(rf.num), rf.den), pmul(rf.num, pderiv(rf.den)))
+            if crit:
+                out.append((crit, 1))
+        return out
+
+    def crossing(self, i: int, j: int) -> tuple:
+        """(p, den) with the crossings of objectives i and j the roots of
+        p/den: their cross-multiplied difference."""
+        fi, fj = self.objectives[i], self.objectives[j]
+        return psub(pmul(fi.num, fj.den), pmul(fj.num, fi.den)), 1
 
 
 class SupResult:
@@ -75,19 +98,6 @@ def _point(x: BoundaryPoint):
     return x.as_fraction() if x.is_rational else x
 
 
-def _cuts(cell: SupCell):
-    """Sorted cuts of the cell at the objectives' critical points, and for
-    each stretch between cuts whether it holds an inexact one."""
-    crits = []
-    for rf in cell.objectives:
-        if polys.roots_in_closed_interval(rf.den, cell.lo, cell.hi):
-            raise DenominatorVanishes(f"pole of {rf} in [{cell.lo}, {cell.hi}]")
-        crit = psub(pmul(pderiv(rf.num), rf.den), pmul(rf.num, pderiv(rf.den)))
-        if crit:
-            crits.append(crit)
-    return polys.cut_at_roots(crits, cell.lo, cell.hi)[:2]
-
-
 def _bracket_bound(objectives, x, y, vx, vy, tol):
     """A bound on min(objectives) over [x, y], where some objective has a
     critical point: max(f(x), f(y)) + tol/2 for an f whose N - bound*D has
@@ -103,11 +113,11 @@ def _bracket_bound(objectives, x, y, vx, vy, tol):
     return min(bounds)
 
 
-def _crossing(objectives, up, dn, i, j, x, y, tol, found, bounds):
+def _crossing(cell, up, dn, i, j, x, y, tol, found, bounds):
     """Candidate at the crossing of up-objective i and down-objective j in (x, y)."""
-    fi, fj = objectives[i], objectives[j]
-    diff = psub(pmul(fi.num, fj.den), pmul(fj.num, fi.den))
-    root = polys.roots_in_closed_interval(diff, x, y)[0]
+    objectives = cell.objectives
+    diff, den = cell.crossing(i, j)
+    root = polys.roots_in_closed_interval(diff, x, y, den=den)[0]
     if isinstance(root, ExactRoot):
         t = _point(root.point)
         found.append((*_argmin([rf.eval_exact(t) for rf in objectives]), t))
@@ -135,7 +145,7 @@ def _cell_sup(cell: SupCell, tol: Fraction, found: list, bounds: list):
     """Append the cell's attained (value, index, point) candidates to found,
     and the bounds on its bisected stretches to bounds."""
     objectives = cell.objectives
-    cuts, bracketed = _cuts(cell)
+    cuts, bracketed, _ = polys.cut_at_roots(cell.critical_polys(), cell.lo, cell.hi)
     values = []
     for x in cuts:
         t = _point(x)
@@ -151,7 +161,7 @@ def _cell_sup(cell: SupCell, tol: Fraction, found: list, bounds: list):
         dn = [i for i in range(len(objectives)) if not vx[i] < vy[i]]
         for i, j in product(up, dn):
             if vx[i] < vx[j] and vy[j] < vy[i]:
-                _crossing(objectives, up, dn, i, j, x, y, tol, found, bounds)
+                _crossing(cell, up, dn, i, j, x, y, tol, found, bounds)
 
 
 def certified_sup(cells: list[SupCell], tol: Fraction | float) -> SupResult:

@@ -81,15 +81,7 @@ class RationalFunction:
 
     def eval_exact(self, x: "ExactValue") -> ExactValue:
         if isinstance(x, BoundaryPoint) and not x.is_rational:
-            du, dv = polys.peval_surd(self.den, x)
-            # r is not a square, so du + dv*sqrt(r) vanishes iff its norm does
-            norm = du * du - dv * dv * x.r
-            if norm == 0:
-                raise DenominatorVanishes(f"denominator vanishes at {x}")
-            nu, nv = polys.peval_surd(self.num, x)
-            # multiply through by the conjugate du - dv*sqrt(r)
-            val = BoundaryPoint((nu * du - nv * dv * x.r) / norm, (nv * du - nu * dv) / norm, x.r)
-            return val.as_fraction() if val.is_rational else val
+            return polys.ratio_at(self.num, self.den, x)
         xf = x.as_fraction() if isinstance(x, BoundaryPoint) else Fraction(x)
         den = polys.peval(self.den, xf)
         if den == 0:
@@ -152,7 +144,7 @@ def _exact_max(values):
 class PiecewiseBound:
     """Ordered, exactly-abutting pieces covering [0, sigma_cap)."""
 
-    __slots__ = ("pieces", "_los", "_maxima")
+    __slots__ = ("pieces", "_los", "_maxima", "_int_rows")
 
     def __init__(self, pieces):
         pieces = tuple(pieces)
@@ -164,6 +156,7 @@ class PiecewiseBound:
         self.pieces = pieces
         self._los = [p.lo for p in pieces]
         self._maxima: dict[int, Fraction | None] = {}
+        self._int_rows: dict[int, tuple] = {}
 
     @property
     def lo(self) -> BoundaryPoint:
@@ -197,6 +190,15 @@ class PiecewiseBound:
             self._maxima[k] = None if p.rf is None else Fraction(
                 certified_sup([SupCell(p.lo, p.hi, [p.rf])], _MAX_TOL).upper)
         return self._maxima[k]
+
+    def int_row(self, k: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """(P, Q, m) with integer P and Q: piece k's formula is (P/m)/(Q/m),
+        m the least common denominator of its coefficients; computed once."""
+        if k not in self._int_rows:
+            rf = self.pieces[k].rf
+            (p, q), m = polys.common_ints(rf.num, rf.den)
+            self._int_rows[k] = p, q, m
+        return self._int_rows[k]
 
     def evaluate_upper(self, s):
         """Upper-regularized value at s: the max over all pieces touching s."""
@@ -287,7 +289,7 @@ def pointwise_min(
         if not diff:
             emit(lo, hi, pa.rf, pa.provenance)
             continue
-        cuts, bracketed, _ = polys.cut_at_roots([diff], lo, hi, bracket_width)
+        cuts, bracketed, _ = polys.cut_at_roots([(diff, 1)], lo, hi, bracket_width)
         for x, y, hidden in zip(cuts, cuts[1:], bracketed):
             t = rational_between(x, y)
             va, vb = pa.rf.eval_exact(t), pb.rf.eval_exact(t)
@@ -310,23 +312,28 @@ def feasible_region(pw: PiecewiseBound, c: Fraction) -> list[tuple[BoundaryPoint
     crossings; bracketed crossings round the region outward.
     """
     c = Fraction(c)
+    n, d = c.numerator, c.denominator
     intervals: list[tuple[BoundaryPoint, BoundaryPoint]] = []
     for k, piece in enumerate(pw.pieces):
         top = pw.piece_max(k)
         if top is None or top < c:
             continue
-        rf = piece.rf
-        diff = psub(rf.num, pscale(rf.den, c))
+        # rf - c = (d*P - n*Q)/(d*Q) for the row's integer P/Q and c = n/d
+        p, q, m = pw.int_row(k)
+        diff = polys.lincomb(d, p, -n, q)
         if not diff:
             intervals.append((piece.lo, piece.hi))
             continue
-        cuts, bracketed, exact = polys.cut_at_roots([diff], piece.lo, piece.hi)
+        cuts, bracketed, exact = polys.cut_at_roots([(diff, d * m)], piece.lo, piece.hi)
         # equality points are feasible on their own, possibly isolated
         intervals += [(x, x) for x in exact]
         for x, y, hidden in zip(cuts, cuts[1:], bracketed):
-            # a crossing bracket rounds outward; on any other stretch rf - c
-            # has one sign (piece_max(k) has ruled out a pole), read inside
-            if hidden or rf.eval_exact(rational_between(x, y)) > c:
+            # a crossing bracket rounds outward; on any other stretch d*P - n*Q
+            # has one sign, read at an end where it does not vanish (or
+            # inside), and Q has one sign on the piece (piece_max(k) has
+            # ruled out a pole), so rf > c there iff their product is > 0
+            if hidden or (polys.sign_at(diff, x) or polys.sign_at(diff, y) or polys.sign_at(
+                    diff, rational_between(x, y))) * polys.sign_at(q, x) > 0:
                 intervals.append((x, y))
 
     intervals.sort()

@@ -4,11 +4,18 @@ Supports the root classification needed by the piecewise algebra: linear and
 quadratic factors give exact BoundaryPoint roots, anything of higher degree
 falls back to Sturm isolation with certified rational brackets.  cut_at_roots
 is the one place where an interval is cut at such roots.
+
+A polynomial's coefficients are Fractions or ints.  The per-theta kernels
+keep integer coefficients c and a positive integer scale d for the rational
+polynomial c/d: they evaluate by homogeneous integer Horner, with one
+Fraction per value, and find roots of degree <= 2 from the integer
+discriminant.
 """
 
 from fractions import Fraction
+from math import lcm
 
-from .errors import NonConvergence, OutOfDomain
+from .errors import DenominatorVanishes, NonConvergence, OutOfDomain
 from .exact import BoundaryPoint, _surd_sign, as_boundary, sqrt_fraction
 
 Poly = tuple[Fraction, ...]
@@ -75,24 +82,109 @@ def peval(a: Poly, x: Fraction) -> Fraction:
     return acc
 
 
-def peval_surd(a: Poly, x: BoundaryPoint) -> tuple[Fraction, Fraction]:
-    """(u, v) with a(x) = u + v*sqrt(r) for x = p + q*sqrt(r), by one Horner
-    loop over rational pairs."""
+def common_ints(*ps) -> tuple[list[tuple[int, ...]], int]:
+    """([m*p for p in ps], m): the polynomials ps with integer coefficients,
+    m the least common denominator of all their coefficients."""
+    m = lcm(*(Fraction(x).denominator for p in ps for x in p))
+    return [tuple(x.numerator * (m // x.denominator) for x in map(Fraction, p)) for p in ps], m
+
+
+def int_form(p, den: int = 1) -> tuple[tuple[int, ...], int]:
+    """(c, d) with integer c, a positive integer d and c/d = p/den: p's
+    coefficients over their common denominator, trailing zeros dropped."""
+    if all(type(x) is int for x in p):
+        c = list(p)
+    else:
+        (c,), m = common_ints(p)
+        c, den = list(c), den * m
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c), den
+
+
+def lincomb(k: int, a: tuple[int, ...], j: int, b: tuple[int, ...]) -> tuple[int, ...]:
+    """k*a + j*b for integer polynomials, trailing zeros dropped."""
+    if len(a) < len(b):
+        k, a, j, b = j, b, k, a
+    c = [k * x for x in a]
+    for i, y in enumerate(b):
+        c[i] += j * y
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def hom_eval(a, p: int, q: int):
+    """q^deg(a) * a(p/q) for q > 0: sum of a_k p^k q^(deg - k), an integer
+    for integer coefficients; 0 for the zero polynomial."""
     if not a:
-        return ZERO, ZERO
-    p, q, qr = x.p, x.q, x.q * x.r
-    u, v = a[-1], ZERO
+        return 0
+    acc, qk = a[-1], 1
     for c in reversed(a[:-1]):
-        u, v = u * p + v * qr + c, u * q + v * p
+        qk *= q
+        acc = acc * p + c * qk
+    return acc
+
+
+def surd_ints(x: BoundaryPoint) -> tuple[int, int, int]:
+    """(P, Q, E) with x = (P + Q*sqrt(r))/E and E > 0."""
+    e = lcm(x.p.denominator, x.q.denominator)
+    return x.p.numerator * (e // x.p.denominator), x.q.numerator * (e // x.q.denominator), e
+
+
+def hom_eval_surd(a, big_p: int, big_q: int, e: int, r: int):
+    """(U, V) with E^deg(a) * a(x) = U + V*sqrt(r) at x = (P + Q*sqrt(r))/E."""
+    if not a:
+        return 0, 0
+    u, v, ek, qr = a[-1], 0, 1, big_q * r
+    for c in reversed(a[:-1]):
+        ek *= e
+        u, v = u * big_p + v * qr + c * ek, u * big_q + v * big_p
     return u, v
 
 
+def ratio_at(num: Poly, den: Poly, x):
+    """num(x)/den(x) exactly, at a Fraction or a BoundaryPoint x: a
+    Fraction, or a BoundaryPoint in x's field.  Integer coefficients make
+    this integer work up to one Fraction per value (two at a surd).
+    Raises DenominatorVanishes when den(x) = 0."""
+    if isinstance(x, BoundaryPoint):
+        if x.q:
+            big_p, big_q, e = surd_ints(x)
+            r = x.r
+            nu, nv = hom_eval_surd(num, big_p, big_q, e, r)
+            du, dv = hom_eval_surd(den, big_p, big_q, e, r)
+            # r is not a square, so du + dv*sqrt(r) vanishes iff its norm does
+            norm = du * du - dv * dv * r
+            if norm == 0:
+                raise DenominatorVanishes(f"denominator vanishes at {x}")
+            # multiply through by the conjugate du - dv*sqrt(r)
+            u, v = nu * du - nv * dv * r, nv * du - nu * dv
+            k = len(den) - len(num)
+            if k >= 0:
+                u, v = u * e**k, v * e**k
+            else:
+                norm *= e**-k
+            val = BoundaryPoint(Fraction(u, norm), Fraction(v, norm), r)
+            return val.p if val.q == 0 else val
+        x = x.p
+    p, q = x.numerator, x.denominator
+    d = hom_eval(den, p, q)
+    if d == 0:
+        raise DenominatorVanishes(f"denominator vanishes at {x}")
+    n, k = hom_eval(num, p, q), len(den) - len(num)
+    return Fraction(n * q**k, d) if k >= 0 else Fraction(n, d * q**-k)
+
+
 def sign_at(a: Poly, x) -> int:
+    """Exact sign of a at a rational or a surd x."""
     x = as_boundary(x)
-    if x.is_rational:
-        v = peval(a, x.as_fraction())
-        return (v > 0) - (v < 0)
-    return _surd_sign(*peval_surd(a, x), x.r)
+    if x.q == 0:
+        v = hom_eval(a, x.p.numerator, x.p.denominator)
+    else:
+        u, v = hom_eval_surd(a, *surd_ints(x), x.r)
+        return _surd_sign(u, v, x.r)
+    return (v > 0) - (v < 0)
 
 
 def pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
@@ -213,28 +305,53 @@ Root = ExactRoot | BracketedRoot
 DEFAULT_BRACKET_WIDTH = Fraction(1, 10**12)
 
 
-def _quadratic_roots(p: Poly) -> list[BoundaryPoint]:
-    if pdegree(p) == 1:
-        return [BoundaryPoint.rational(-p[0] / p[1])]
-    a2, a1, a0 = p[2], p[1], p[0]
+def _quadratic_roots(c: tuple[int, ...], d: int) -> list[BoundaryPoint]:
+    """The real roots, ascending, of c/d for integer c of degree 1 or 2 and
+    an integer d > 0.  The surd is read off the discriminant of c/d in lowest
+    terms, so a root has the same canonical form however c/d is written."""
+    if len(c) == 2:
+        return [BoundaryPoint.rational(Fraction(-c[0], c[1]))]
+    a0, a1, a2 = c
     disc = a1 * a1 - 4 * a2 * a0
     if disc < 0:
         return []
+    base = Fraction(-a1, 2 * a2)
     if disc == 0:
-        return [BoundaryPoint.rational(-a1 / (2 * a2))]
-    c, r = sqrt_fraction(disc)
+        return [BoundaryPoint.rational(base)]
+    root, r = sqrt_fraction(Fraction(disc, d * d))
+    spread = root * d / (2 * a2)
     if r == 1:
-        lo = (-a1 - c) / (2 * a2)
-        hi = (-a1 + c) / (2 * a2)
-        return sorted(
-            (BoundaryPoint.rational(lo), BoundaryPoint.rational(hi)),
-            key=lambda b: b.as_fraction(),
-        )
-    base, spread = -a1 / (2 * a2), c / (2 * a2)
+        return [BoundaryPoint.rational(x) for x in sorted((base - spread, base + spread))]
     roots = [BoundaryPoint(base, -spread, r), BoundaryPoint(base, spread, r)]
-    if roots[0] > roots[1]:
-        roots.reverse()
-    return roots
+    return roots if spread > 0 else roots[::-1]
+
+
+def _roots_between(c: tuple[int, ...], d: int, lo: BoundaryPoint, hi: BoundaryPoint):
+    """The roots of c/d in [lo, hi], ascending, for integer c of degree 1 or
+    2 and an integer d > 0.  Which roots lie there is read off the exact
+    signs of c and c' at lo and hi, so a root outside is never built."""
+    s_lo, s_hi = sign_at(c, lo), sign_at(c, hi)
+    if len(c) == 2:
+        return _quadratic_roots(c, d) if s_lo * s_hi <= 0 else []
+    a0, a1, a2 = c
+    disc = a1 * a1 - 4 * a2 * a0
+    g = 1 if a2 > 0 else -1
+    s_lo, s_hi = g * s_lo, g * s_hi  # 1 outside the roots, -1 between, 0 on one
+    if disc < 0 or s_lo < 0 and s_hi < 0:
+        return []
+    # g*c'(x) has the sign of x - v, v = -a1/(2*a2) the vertex
+    deriv = (a1, 2 * a2)
+    t_lo, t_hi = g * sign_at(deriv, lo), g * sign_at(deriv, hi)
+    if disc == 0:
+        return _quadratic_roots(c, d) if t_lo <= 0 <= t_hi else []
+    # position from left to right: 0 before the first root, 1 on it, 2
+    # between the roots, 3 on the second, 4 past it; off the middle x != v
+    p_lo = 2 if s_lo < 0 else 2 + t_lo * (1 + s_lo)
+    p_hi = 2 if s_hi < 0 else 2 + t_hi * (1 + s_hi)
+    inside = (p_lo <= 1 <= p_hi, p_lo <= 3 <= p_hi)
+    if not any(inside):
+        return []
+    return [r for r, keep in zip(_quadratic_roots(c, d), inside) if keep]
 
 
 def _refine_bracket(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> Root:
@@ -253,28 +370,31 @@ def _refine_bracket(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> Roo
 
 
 def roots_in_closed_interval(
-    p: Poly, lo, hi, bracket_width: Fraction = DEFAULT_BRACKET_WIDTH
+    p: Poly, lo, hi, bracket_width: Fraction = DEFAULT_BRACKET_WIDTH, den: int = 1
 ) -> list[Root]:
-    """All distinct real roots of p in [lo, hi], in ascending order.
+    """All distinct real roots of p/den in [lo, hi], in ascending order.
 
     Roots of linear/quadratic square-free parts come back exact; higher
     degree irrational roots come back as BracketedRoot enclosures no wider
     than bracket_width.  Raises on the zero polynomial.
     """
-    p = ptrim(p)
-    if not p:
+    c, d = int_form(p, den)
+    if not c:
         raise ValueError("zero polynomial has no isolated roots")
     lo, hi = as_boundary(lo), as_boundary(hi)
     if lo > hi:
         raise ValueError("empty interval")
     # a quadratic's double root comes back once from _quadratic_roots, so
     # only higher degrees need the gcd
-    sf = squarefree_part(p) if pdegree(p) > 2 else p
-    if pdegree(sf) <= 0:
+    if len(c) <= 3:
+        sf = c
+    else:
+        sf, d = int_form(squarefree_part(tuple(Fraction(x, d) for x in c)))
+    if len(sf) <= 1:
         return []
-    if pdegree(sf) <= 2:
-        roots = [ExactRoot(b) for b in _quadratic_roots(sf) if lo <= b <= hi]
-        return roots
+    if len(sf) <= 3:
+        return [ExactRoot(b) for b in _roots_between(sf, d, lo, hi)]
+    sf = tuple(Fraction(x, d) for x in sf)
 
     out: list[Root] = []
     if sign_at(sf, lo) == 0:
@@ -332,7 +452,8 @@ def roots_in_closed_interval(
 def cut_at_roots(
     ps, lo, hi, bracket_width: Fraction = DEFAULT_BRACKET_WIDTH
 ) -> tuple[list[BoundaryPoint], list[bool], list[BoundaryPoint]]:
-    """Cut [lo, hi] at the roots of the nonzero polynomials ps.
+    """Cut [lo, hi] at the roots of the nonzero polynomials p/den, for the
+    pairs (p, den) in ps.
 
     Returns (cuts, bracketed, exact): cuts are the distinct points lo, ..., hi
     in ascending order; bracketed[k] tells whether [cuts[k], cuts[k+1]] lies
@@ -342,8 +463,8 @@ def cut_at_roots(
     """
     lo, hi = as_boundary(lo), as_boundary(hi)
     points, brackets, exact = [lo, hi], [], []
-    for p in ps:
-        for root in roots_in_closed_interval(p, lo, hi, bracket_width):
+    for p, den in ps:
+        for root in roots_in_closed_interval(p, lo, hi, bracket_width, den):
             if isinstance(root, ExactRoot):
                 exact.append(root.point)
                 points.append(root.point)

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from shortintervals import tables
 from shortintervals.cli import dispatch, parse_exact
 from shortintervals.errors import ParseError
 
@@ -83,6 +84,18 @@ def test_mu_non_positive_tol_is_a_domain_error(capsys, tol, theta):
 def test_sigma_cap_n_below_the_finite_rows_is_a_domain_error(capsys, n, mode):
     assert dispatch(["--sigma-cap-n", n, "mu", "--theta", "1/2", "--mode", mode]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", [
+    ["mu", "--theta", "1/2"],
+    ["curve", "--theta-min", "1/4", "--theta-max", "1/2", "--steps", "2"],
+    ["table-dump", "--which", "a"],
+])
+def test_sigma_cap_n_above_the_ceiling_is_a_domain_error(capsys, command):
+    n = str(tables.MAX_FAMILY_INDEX + 1)
+    assert dispatch(["--sigma-cap-n", n, *command]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and not captured.out
 
 
 def test_sigma_cap_n_at_the_finite_rows_runs(capsys):

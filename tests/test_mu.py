@@ -3,8 +3,10 @@ from fractions import Fraction as F
 from math import inf
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from shortintervals import mu, polys
+from shortintervals import mu, optimize, piecewise, polys
 from shortintervals.errors import DomainMismatch, OutOfDomain
 from shortintervals.exact import BoundaryPoint
 from shortintervals.mu import (
@@ -16,8 +18,8 @@ from shortintervals.mu import (
     theta_grid,
 )
 from shortintervals.optimize import SupCell, certified_sup
-from shortintervals.piecewise import feasible_region
-from shortintervals.polys import rational_between
+from shortintervals.piecewise import RationalFunction, feasible_region
+from shortintervals.polys import lincomb, padd, pderiv, pmul, pscale, psub, ptrim, rational_between
 from shortintervals.tables import DEFAULT_PINTZ_MAX_N, HypothesisMode, a_table
 
 UNC = HypothesisMode.UNCONDITIONAL
@@ -172,7 +174,7 @@ def test_mode_dominance_sampled():
 def test_uncovered_cell_raises(monkeypatch):
     # a feasible cell no table row covers must fail loudly, never be dropped
     table = a_table(UNC)
-    index = mu._PieceIndex(table)
+    index = mu._PieceIndex(table, 2)
     assert len(index.covering(F(1, 4), F(1, 3))) == 1
     b = table.pieces[2].lo  # 7/10: a point cell there gets both adjacent rows
     assert len(index.covering(b, b)) == 2
@@ -201,15 +203,15 @@ def _cells_by_covering(theta, mode, refined):
             for ra in a_idx.covering(x, y):
                 if ra is None:
                     continue
-                l2 = mu._moment_rf(ra.scaled, theta, 2)
-                bound = ra.bound(theta, 2, x_lo, y_hi)
+                l2 = mu._Moment(ra, theta.numerator, theta.denominator)
+                bound = l2.bound(x_lo, y_hi)
                 if not refined:
                     out.append((x, y, [l2], bound))
                     continue
                 for rs in astar_idx.covering(x, y):
                     if rs is not None:
-                        out.append((x, y, [l2, mu._moment_rf(rs.scaled, theta, 4)],
-                                    min(bound, rs.bound(theta, 4, x_lo, y_hi))))
+                        l4 = mu._Moment(rs, theta.numerator, theta.denominator)
+                        out.append((x, y, [l2, l4], min(bound, l4.bound(x_lo, y_hi))))
     return out
 
 
@@ -251,6 +253,90 @@ def test_empty_theta_skips_root_isolation(monkeypatch):
     assert not calls
     assert not mu_upper(F(1, 4)).is_empty
     assert calls
+
+
+def _proportional(p, q) -> bool:
+    """p = k*q for some nonzero rational k, or both are zero."""
+    p, q = ptrim(p), ptrim(q)
+    if not p or not q:
+        return not p and not q
+    return len(p) == len(q) and all(x * q[-1] == y * p[-1] for x, y in zip(p, q))
+
+
+def _generic_objective(rf, m, theta):
+    """((1-t)G + (m*s - m + 1)H)/H for the scaled row G/H = (1-s)P/Q, built
+    from RationalFunctions; and the same from the row's own P/Q."""
+    g, h = mu._scaled_row(rf)
+    affine = (F(1 - m), F(m))
+    generic = RationalFunction(padd(pscale(g, 1 - theta), pmul(affine, h)), h)
+    own = RationalFunction(padd(pscale(pmul((F(1), F(-1)), rf.num), 1 - theta),
+                                pmul(affine, rf.den)), rf.den)
+    return generic, own
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(mode=st.sampled_from([UNC, DH, LH, RH]),
+       theta=st.fractions(min_value=F(1, 10**4), max_value=1 - F(1, 10**4),
+                          max_denominator=10**6))
+@example(mode=LH, theta=F(17, 30))  # LH has constant rows 2 and zero rows
+@example(mode=DH, theta=F(1, 4))
+@example(mode=RH, theta=F(1, 3))  # RH has -inf rows
+def test_compiled_kernels_match_the_generic_construction(mode, theta):
+    # every row's compiled objective, critical-point polynomial and region
+    # boundary, and every span's crossing polynomial, are the generic ones
+    # (up to a nonzero rational factor for the polynomials)
+    _, a_idx, astar_idx, bps, spans = mu._mode_grid(mode, DEFAULT_PINTZ_MAX_N)
+    a, b = theta.numerator, theta.denominator
+    c = 1 / (1 - theta)
+    generic = {}
+    for index, m in ((a_idx, 2), (astar_idx, 4)):
+        pw = index.pw
+        for k, piece in enumerate(pw.pieces):
+            row = index.row(k)
+            if piece.rf is None:
+                assert row is None
+                continue
+            p, q, _ = pw.int_row(k)
+            assert _proportional(lincomb(c.denominator, p, -c.numerator, q),
+                                 psub(piece.rf.num, pscale(piece.rf.den, c)))
+            f = mu._Moment(row, a, b)
+            g, own = generic[row] = _generic_objective(piece.rf, m, theta)
+            assert RationalFunction(f.num, f.den).same_function(g)
+            assert g.same_function(own)
+            crit = psub(pmul(pderiv(g.num), g.den), pmul(g.num, pderiv(g.den)))
+            assert _proportional(f.critical()[0], crit)
+            mid = rational_between(piece.lo, piece.hi)
+            for x in (piece.lo, mid, BoundaryPoint(mid), piece.hi):
+                assert f.eval_exact(x) == g.eval_exact(x)
+    for (ka, ks), lo, hi in zip(spans, bps, bps[1:]):
+        ra, rs = a_idx.row(ka), astar_idx.row(ks)
+        if ra is None or rs is None:
+            continue
+        compiled = mu._MuCell(lo, hi, (mu._Moment(ra, a, b), mu._Moment(rs, a, b)))
+        plain = SupCell(lo, hi, (generic[ra][0], generic[rs][0]))
+        assert _proportional(compiled.crossing(0, 1)[0], plain.crossing(0, 1)[0])
+
+
+@pytest.mark.parametrize("mode", [UNC, DH], ids=lambda m: m.value)
+def test_theta_path_builds_no_polynomial_products(monkeypatch, mode):
+    # once rows are compiled, a non-empty theta only scales and adds them:
+    # no module on the theta path builds a product or a derivative (root
+    # isolation of a cubic still differentiates inside polys, for its Sturm
+    # chain, and is not counted)
+    thetas = [F(1, 10), F(1, 4), F(2, 5), F(1, 2)]
+    want = [mu_upper(t, mode, refined=refined) for t in thetas for refined in (True, False)]
+    calls = []
+    for module in (optimize, piecewise, mu):
+        for name in ("pmul", "pderiv"):
+            if hasattr(module, name):
+                def counting(*args, _f=getattr(module, name), _name=name):
+                    calls.append(_name)
+                    return _f(*args)
+                monkeypatch.setattr(module, name, counting)
+    got = [mu_upper(t, mode, refined=refined) for t in thetas for refined in (True, False)]
+    assert not any(res.is_empty for res in got)
+    assert [(r.upper, r.lower, r.active) for r in got] == [(r.upper, r.lower, r.active) for r in want]
+    assert not calls
 
 
 @pytest.mark.parametrize("mode", [UNC, DH, LH, RH], ids=lambda m: m.value)

@@ -1,12 +1,16 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from math import inf
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
-from shortintervals.errors import NonConvergence
+from shortintervals.errors import DenominatorVanishes, NonConvergence
 from shortintervals.optimize import SupCell, certified_sup
 from shortintervals.piecewise import RationalFunction
 
@@ -83,6 +87,45 @@ def test_cell_bounds_skip_only_what_cannot_matter(monkeypatch):
     # visited first
     tie = SupCell(F(1, 2), F(3, 4), [rf((1,))], bound=F(1))
     assert certified_sup([tie, one], tol).witness == F(1, 2)
+
+
+# a pole inside the cell, at its right end, at a surd inside, and in the
+# second of two objectives
+POLE_CELLS = [
+    [rf((1,), (F(-1, 2), 1))],
+    [rf((1,), (-1, 1))],
+    [rf((0, 1), (F(-1, 2), 0, 1))],
+    [rf((1, -1)), rf((2,), (F(-1, 3), 1))],
+]
+
+
+@pytest.mark.parametrize("objectives", POLE_CELLS, ids=range(len(POLE_CELLS)))
+def test_hand_built_cell_with_a_pole_raises(objectives):
+    # a pole in the closed cell makes the supremum meaningless: never return one
+    with pytest.raises(DenominatorVanishes):
+        certified_sup([SupCell(F(0), F(1), objectives)], F(1, 10**9))
+
+
+def test_hand_built_cell_with_a_pole_raises_under_optimize_flag():
+    code = (
+        "from fractions import Fraction as F\n"
+        "from shortintervals.errors import DenominatorVanishes\n"
+        "from shortintervals.optimize import SupCell, certified_sup\n"
+        "from shortintervals.piecewise import RationalFunction as R\n"
+        "cases = [[R((F(1),), (F(-1, 2), F(1)))], [R((F(1),), (F(-1), F(1)))],\n"
+        "         [R((F(0), F(1)), (F(-1, 2), F(0), F(1)))],\n"
+        "         [R((F(1), F(-1))), R((F(2),), (F(-1, 3), F(1)))]]\n"
+        "for objectives in cases:\n"
+        "    try:\n"
+        "        certified_sup([SupCell(F(0), F(1), objectives)], F(1, 10**9))\n"
+        "    except DenominatorVanishes:\n"
+        "        continue\n"
+        "    raise SystemExit(1)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0
 
 
 def test_non_convergence_unreachable_tol():

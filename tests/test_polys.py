@@ -11,6 +11,7 @@ from shortintervals.polys import (
     ExactRoot,
     _quadratic_roots,
     cut_at_roots,
+    int_form,
     pdegree,
     pdivmod,
     peval,
@@ -94,10 +95,38 @@ def test_quadratic_roots_skip_squarefree_part(case):
     # without the gcd, degree <= 2 gives the roots the square-free part gives
     p, lo, hi = case
     sf = squarefree_part(p)
-    want = [b for b in (_quadratic_roots(sf) if pdegree(sf) > 0 else []) if lo <= b <= hi]
+    want = [b for b in (_quadratic_roots(*int_form(sf)) if pdegree(sf) > 0 else []) if lo <= b <= hi]
     got = roots_in_closed_interval(p, lo, hi)
     assert all(isinstance(root, ExactRoot) for root in got)
     assert [(r.point.p, r.point.q, r.point.r) for r in got] == [(b.p, b.q, b.r) for b in want]
+
+
+@st.composite
+def quadratic_with_ends_at_its_roots(draw):
+    """(p, lo, hi): c((s - b)^2 - k^2 r) or a linear factor of it, with ends
+    drawn from its own roots (surd, rational or double), its vertex, and
+    other points of its field or of Q(sqrt 7), so roots often sit on an end."""
+    b, c, k = draw(small), draw(small.filter(bool)), draw(st.sampled_from([F(1), F(1, 2), F(2, 3)]))
+    r = draw(st.sampled_from([2, 3, 5, 1, 0, -1]))  # 1: rational roots, 0: double, -1: none
+    p = (c * (b * b - k * k * r), -2 * c * b, c)
+    roots = [] if r < 0 else [BoundaryPoint(b, -k, r), BoundaryPoint(b, k, r)]
+    if draw(st.booleans()):
+        p, roots = (-c * b, c), [BoundaryPoint(b)]
+    field = st.builds(BoundaryPoint, small, small, st.sampled_from([max(r, 0), 7]))
+    ends = st.one_of(st.sampled_from(roots + [BoundaryPoint(b)]), field)
+    lo, hi = sorted([draw(ends), draw(ends)])
+    return p, lo, hi
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=quadratic_with_ends_at_its_roots())
+def test_roots_in_interval_from_signs_match_exact_comparisons(case):
+    # which roots lie in [lo, hi] is read off integer signs at lo and hi;
+    # exact comparisons of every root with lo and hi must agree
+    p, lo, hi = case
+    want = [x for x in _quadratic_roots(*int_form(p)) if lo <= x <= hi]
+    got = [root.point for root in roots_in_closed_interval(p, lo, hi)]
+    assert [(x.p, x.q, x.r) for x in got] == [(x.p, x.q, x.r) for x in want]
 
 
 def test_quadratic_exact_rational_roots():
@@ -218,7 +247,7 @@ def polys_on_interval(draw):
          width=DEFAULT_BRACKET_WIDTH)  # the same surd roots twice
 def test_cut_at_roots_contract(case, width):
     ps, lo, hi = case
-    cuts, bracketed, exact = cut_at_roots(ps, lo, hi, width)
+    cuts, bracketed, exact = cut_at_roots([(p, 1) for p in ps], lo, hi, width)
     assert cuts[0] == lo and cuts[-1] == hi
     assert all(x < y for x, y in zip(cuts, cuts[1:]))
     assert len(bracketed) == len(cuts) - 1

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction as F
 from math import inf
 
@@ -9,6 +10,7 @@ from shortintervals.optimize import SupCell, certified_sup
 from shortintervals.piecewise import Piece, RationalFunction
 from shortintervals.polys import pmul
 from shortintervals.tables import (
+    MAX_FAMILY_INDEX,
     HypothesisMode,
     _piece_positive,
     a_table,
@@ -140,6 +142,25 @@ def test_sigma_cap_below_the_finite_rows_raises():
             sigma_cap(n)
         with pytest.raises(InvalidFamilyIndex):
             a_table(LH, n)
+
+
+def test_family_index_above_the_ceiling_raises_before_building():
+    # the tables hold one piece per family row: an index past the ceiling is
+    # refused before any piece is built, so asking costs next to no memory
+    assert sigma_cap(MAX_FAMILY_INDEX) == 1 - F(1, 2 * MAX_FAMILY_INDEX * (MAX_FAMILY_INDEX + 1))
+    for n in (MAX_FAMILY_INDEX + 1, 10**8):
+        with pytest.raises(InvalidFamilyIndex):
+            sigma_cap(n)
+        for mode in (UNC, DH, LH, RH):
+            tracemalloc.start()
+            try:
+                for build in (a_table, astar_table):
+                    with pytest.raises(InvalidFamilyIndex):
+                        build(mode, n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 1024, (mode, n, peak)
 
 
 def test_piece_positive_sees_bracketed_roots_and_poles():
