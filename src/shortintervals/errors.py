@@ -26,6 +26,10 @@ class InvalidFamilyIndex(ShortIntervalsError):
     that would end the tables before their finite rows do."""
 
 
+class MixedSurds(ShortIntervalsError, ValueError):
+    """Arithmetic combines two quadratic surds of distinct fields Q(sqrt(r))."""
+
+
 class OutOfRange(ShortIntervalsError):
     """A numeric argument exceeds the range covered by a sieve or dataset."""
 

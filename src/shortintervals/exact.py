@@ -1,16 +1,20 @@
 """Exact arithmetic primitives: rationals, quadratic surds, directed rounding.
 
-Comparisons between table breakpoints must never consult floating point,
-because feasibility regions can degenerate to a single point.  Everything
-here reduces sign questions to integer arithmetic on ``fractions.Fraction``.
-Floats appear only at the end, where ``float_down``/``float_up`` round an
+Comparisons between table breakpoints must be exact, because feasibility
+regions can degenerate to a single point.  Every sign returned here is the
+exact sign.  A comparison first looks at float approximations with a proven
+error bound and lets them decide only when their enclosures are separated;
+near-ties are decided by integer arithmetic on ``fractions.Fraction``.
+Floats also appear at the end, where ``float_down``/``float_up`` round an
 exact value outward into a certified bracket.
 """
 
 import math
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import inf, isqrt
+
+from .errors import MixedSurds
 
 RationalLike = int | Fraction
 
@@ -105,18 +109,35 @@ def _surd_sign(p: Fraction, q: Fraction, r: int) -> int:
     return -_surd_sign(-p, -q, r)
 
 
+# relative and absolute parts of a float enclosure's error bound; see
+# BoundaryPoint._enclosure for the argument
+_REL = 2.0**-48
+_TINY = 2.0**-1000
+
+
+def _rational_enclosure(x: RationalLike | Fraction) -> tuple[float, float]:
+    """Float enclosure (f, e) of an int or Fraction: |f - x| <= e."""
+    try:
+        f = float(x)
+    except OverflowError:
+        return 0.0, inf
+    return f, abs(f) * _REL + _TINY
+
+
 class BoundaryPoint:
     """An exact real of the form p + q*sqrt(r) with p, q rational, r >= 0 integer.
 
     Breakpoints of the exponent tables are of this shape (most are plain
     rationals; a few are surds such as (539 - sqrt(42121))/460).  Comparison
-    against any other BoundaryPoint is exact and decided purely in rational
-    arithmetic, including when the two surds differ.  Arithmetic is closed
-    within a single field Q(sqrt(r)); combining two distinct surds raises,
+    against any other BoundaryPoint is exact, including when the two surds
+    differ.  A float enclosure with a proven error bound decides the order
+    only when the two enclosures are clearly apart; otherwise the sign is
+    decided in rational arithmetic.  Arithmetic is closed within a single
+    field Q(sqrt(r)); combining two distinct surds raises ``MixedSurds``,
     which the tables never require.
     """
 
-    __slots__ = ("p", "q", "r")
+    __slots__ = ("p", "q", "r", "_f", "_e")
 
     def __init__(self, p: RationalLike | Fraction, q: RationalLike = 0, r: int = 0):
         p = Fraction(p)
@@ -137,6 +158,42 @@ class BoundaryPoint:
         self.p = p
         self.q = q
         self.r = r
+        self._e = None
+
+    def _enclosure(self) -> tuple[float, float]:
+        """Float enclosure (f, e) with |f - value| <= e, computed once.
+
+        f = float(p) + float(q)*sqrt(r) and
+        e = (|float(p)| + |float(q)*sqrt(r)|) * 2^-48 + (1 + sqrt(r)) * 2^-1000.
+        float() of an int or a Fraction is correctly rounded (int true
+        division), and so are math.sqrt, the product and the sum: at most
+        six roundings, each off by a relative 2^-53 at most, so the relative
+        part of the error is below 6 * 2^-53 < 2^-50 of |p| + |q*sqrt(r)|
+        (and of the computed terms, which differ from those by far less).
+        A rounding into the subnormal range is instead off by up to 2^-1075
+        absolutely; only float(q)'s can be magnified, by the factor sqrt(r),
+        hence (1 + sqrt(r)) * 2^-1000.  A value out of float range raises
+        OverflowError or makes e infinite; e = inf then sends every
+        comparison with the point to the exact path.
+        """
+        e = self._e
+        if e is not None:
+            return self._f, e
+        try:
+            f = float(self.p)
+            if self.q:
+                sr = math.sqrt(self.r)
+                t = float(self.q) * sr
+                e = (abs(f) + abs(t)) * _REL + (1.0 + sr) * _TINY
+                f += t
+            else:
+                e = abs(f) * _REL + _TINY
+        except OverflowError:
+            e = inf
+        if e == inf:
+            f = 0.0
+        self._f, self._e = f, e
+        return f, e
 
     @classmethod
     def rational(cls, x: RationalLike | Fraction) -> "BoundaryPoint":
@@ -157,9 +214,26 @@ class BoundaryPoint:
     # -- comparisons ----------------------------------------------------
 
     def _compare(self, other: "BoundaryPoint | RationalLike | Fraction") -> int:
+        fa, ea = self._enclosure()
+        if isinstance(other, BoundaryPoint):
+            fb, eb = other._enclosure()
+        elif isinstance(other, (int, Fraction)):
+            fb, eb = _rational_enclosure(other)
+        else:
+            other = as_boundary(other)
+            fb, eb = other._enclosure()
+        # the enclosures are apart by more than their widths: the computed
+        # difference, off by a relative 2^-53 at most, has the exact sign
+        d = fa - fb
+        margin = 2.0 * (ea + eb)
+        if d > margin:
+            return 1
+        if -d > margin:
+            return -1
         other = as_boundary(other)
         if self.q == 0 and other.q == 0:
-            return _sign(self.p - other.p)
+            a, b = self.p, other.p
+            return 0 if a == b else (1 if a > b else -1)
         if self.q == 0 or other.q == 0 or self.r == other.r:
             r = self.r if self.q != 0 else other.r
             return _surd_sign(self.p - other.p, self.q - other.q, r)
@@ -205,7 +279,7 @@ class BoundaryPoint:
         if not isinstance(other, BoundaryPoint):
             return None
         if self.q != 0 and other.q != 0 and self.r != other.r:
-            raise ValueError(
+            raise MixedSurds(
                 f"arithmetic across distinct surds sqrt({self.r}), sqrt({other.r})"
             )
         return other, (self.r if self.q != 0 else other.r)

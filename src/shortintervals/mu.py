@@ -34,6 +34,9 @@ from .polys import (
 from .tables import DEFAULT_PINTZ_MAX_N, HypothesisMode, a_table, astar_table
 
 DEFAULT_TOL = Fraction(1, 10**9)
+# a curve holds one exact rational per grid point; the ceiling keeps its
+# memory bounded for every value the CLI admits
+MAX_CURVE_STEPS = 100_000
 
 ACTIVE_L2 = "L2"
 ACTIVE_L4 = "L4"
@@ -338,11 +341,11 @@ class CurvePoint:
 
 
 def theta_grid(theta_min, theta_max, steps: int) -> list[Fraction]:
+    if not 1 <= steps <= MAX_CURVE_STEPS:
+        raise OutOfDomain(f"steps must lie in [1, {MAX_CURVE_STEPS}], got {steps}")
     tmin, tmax = Fraction(theta_min), Fraction(theta_max)
     if not 0 < tmin < tmax < 1:
         raise OutOfDomain("need 0 < theta_min < theta_max < 1")
-    if steps < 1:
-        raise OutOfDomain("steps must be >= 1")
     h = (tmax - tmin) / steps
     return [tmin + i * h for i in range(steps + 1)]
 

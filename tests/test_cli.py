@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from shortintervals import tables
+from shortintervals import mu, tables
 from shortintervals.cli import dispatch, parse_exact
 from shortintervals.errors import ParseError
 
@@ -94,6 +94,13 @@ def test_sigma_cap_n_below_the_finite_rows_is_a_domain_error(capsys, n, mode):
 def test_sigma_cap_n_above_the_ceiling_is_a_domain_error(capsys, command):
     n = str(tables.MAX_FAMILY_INDEX + 1)
     assert dispatch(["--sigma-cap-n", n, *command]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and not captured.out
+
+
+def test_curve_steps_above_the_ceiling_is_a_domain_error(capsys):
+    steps = str(mu.MAX_CURVE_STEPS + 1)
+    assert dispatch(["curve", "--theta-min", "1/4", "--theta-max", "1/2", "--steps", steps]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and not captured.out
 

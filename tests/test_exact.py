@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shortintervals.errors import MixedSurds, ShortIntervalsError
 from shortintervals.exact import (
     BoundaryPoint,
     float_down,
@@ -155,6 +156,15 @@ def test_field_arithmetic_matches_mpmath():
         _ = a + surd((0, 1), (1, 1), 5)  # distinct surds never needed
 
 
+def test_distinct_surd_arithmetic_is_a_package_error():
+    a = BoundaryPoint(0, 1, 3 * 101**2 * 2**30)
+    b = BoundaryPoint(0, 2**15 * 101, 3)
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b):
+        with pytest.raises(MixedSurds) as info:
+            op()
+        assert isinstance(info.value, ShortIntervalsError)
+
+
 def test_float_directed_rounding():
     x = F(1, 3)
     lo, hi = float_down(x), float_up(x)
@@ -191,3 +201,215 @@ def test_interval_outward_soundness():
         lo, hi = float_down(a), float_up(a)
         assert F(lo) <= a <= F(hi)
         assert hi == lo or hi == math.nextafter(lo, math.inf)
+
+
+# ----- near-ties: the float filter must hand every close call to the exact path
+
+
+def mp_sign(a, b) -> int:
+    """Sign of a - b at 200 digits; a and b are BoundaryPoints, ints or Fractions."""
+    with mpmath.workdps(200):
+        va, vb = (mp_value(BoundaryPoint(x)) if not isinstance(x, BoundaryPoint)
+                  else mp_value(x) for x in (a, b))
+        diff = va - vb
+        scale = max(abs(va), abs(vb))
+        if abs(diff) <= scale * mpmath.mpf(10) ** -150:
+            return 0
+        return 1 if diff > 0 else -1
+
+
+def check_order(a, b) -> None:
+    """Every comparison operator between a and b, both ways, agrees with mpmath."""
+    want = mp_sign(a, b)
+    assert (a < b, a <= b, a == b, a >= b, a > b) == (
+        want < 0, want <= 0, want == 0, want >= 0, want > 0), (a, b, want)
+    assert (b < a, b <= a, b == a, b >= a, b > a) == (
+        want > 0, want >= 0, want == 0, want <= 0, want < 0), (a, b, want)
+    for x, y, s in ((a, b, want), (b, a, -want)):
+        if isinstance(x, BoundaryPoint):
+            assert x._compare(y) == s, (x, y, s)
+
+
+def filter_undecided(a, b) -> bool:
+    """True when the float enclosures of a and b overlap, so the exact path decides."""
+    fa, ea = BoundaryPoint(a)._enclosure() if not isinstance(a, BoundaryPoint) else a._enclosure()
+    fb, eb = BoundaryPoint(b)._enclosure() if not isinstance(b, BoundaryPoint) else b._enclosure()
+    return not abs(fa - fb) > 2 * (ea + eb)
+
+
+def sqrt_convergents(n: int, count: int) -> list[F]:
+    """The first continued-fraction convergents of sqrt(n), n not a square."""
+    a0 = math.isqrt(n)
+    m, d, a = 0, 1, a0
+    h0, h1, k0, k1 = 1, a0, 0, 1
+    out = [F(h1, k1)]
+    while len(out) < count:
+        m = d * a - m
+        d = (n - m * m) // d
+        a = (a0 + m) // d
+        h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+        out.append(F(h1, k1))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 42121, 60001])
+def test_sqrt_convergents_against_the_surd(n):
+    root = BoundaryPoint(0, 1, n)
+    undecided = 0
+    for c in sqrt_convergents(n, 60):
+        for x in (c, BoundaryPoint(c)):
+            check_order(root, x)
+        # the same convergent inside a table-shaped surd: (539 - sqrt(n))/460
+        check_order(BoundaryPoint(F(539, 460), F(-1, 460), n), BoundaryPoint((539 - c) / 460))
+        undecided += filter_undecided(root, c)
+    # convergents end within float resolution of the surd: the exact path ran
+    assert undecided >= 20
+
+
+def test_distinct_surds_near_ties():
+    root2 = BoundaryPoint(0, 1, 2)
+    undecided = 0
+    # c ~ sqrt(6) makes (c/3)*sqrt(3) ~ sqrt(2), a point of another field
+    for c in sqrt_convergents(6, 40):
+        near = BoundaryPoint(0, c / 3, 3)
+        check_order(root2, near)
+        check_order(root2, near + F(1, 10**40))
+        undecided += filter_undecided(root2, near)
+        # c itself, written as the surd of a perfect square, against sqrt(6)
+        check_order(BoundaryPoint(0, 1, 6), BoundaryPoint(0, F(1, c.denominator), c.numerator**2))
+    assert undecided >= 10
+    check_order(S42121, S42121 + F(1, 2**60))
+    check_order(S60001 - F(1, 2**70), S60001)
+
+
+def test_same_value_in_two_surd_forms():
+    a = BoundaryPoint(0, 1, 3 * 101**2 * 2**30)
+    b = BoundaryPoint(0, 2**15 * 101, 3)
+    assert (a.q, a.r) != (b.q, b.r)
+    assert filter_undecided(a, b)
+    check_order(a, b)
+    assert a._compare(b) == 0
+    tiny = F(1, 2**80)
+    check_order(a, b + tiny)
+    check_order(a + tiny, b)
+
+
+@pytest.mark.parametrize("base", [F(1, 3), F(0), F(-7, 5), F(10**5), F(2**60 + 1)])
+def test_rationals_two_to_the_minus_60_apart(base):
+    lo, hi = base, base + F(1, 2**60)
+    # near 0 the floats resolve 2^-60; elsewhere only the exact path can
+    assert filter_undecided(lo, hi) == (base != 0)
+    for x, y in ((lo, hi), (hi, lo), (lo, lo)):
+        check_order(BoundaryPoint(x), BoundaryPoint(y))
+        check_order(BoundaryPoint(x), y)
+        check_order(x, BoundaryPoint(y))
+    if base.denominator == 1:
+        check_order(BoundaryPoint(hi), int(base))
+        check_order(int(base), BoundaryPoint(lo))
+
+
+def test_fraction_and_int_operands_on_either_side():
+    half = BoundaryPoint(F(1, 2))
+    assert half == F(1, 2) and F(1, 2) == half
+    assert 0 < half < 1 and 1 > half > 0
+    assert F(1, 2) <= half <= F(1, 2) and not (F(1, 2) < half)
+    root = BoundaryPoint(0, 1, 2)
+    assert 1 < root < 2 and F(140, 99) < root < F(99, 70)
+    for x in (1, 2, F(99, 70), F(577, 408), F(665857, 470832), -3, 0):
+        check_order(root, x)
+        check_order(x, root)
+    assert BoundaryPoint(5) == 5 and 5 == BoundaryPoint(5)
+    assert BoundaryPoint(F(-1, 3))._compare(0) == -1
+
+
+@pytest.mark.parametrize("exp", [400, -400])
+def test_magnitudes_beyond_float_range(exp):
+    big = F(10) ** exp
+    one_more = big + big / 10**30
+    assert filter_undecided(big, one_more)
+    check_order(BoundaryPoint(big), BoundaryPoint(one_more))
+    check_order(BoundaryPoint(big), one_more)
+    check_order(big, BoundaryPoint(one_more))
+    # surds of the same magnitude, a near-tie and far apart
+    s = BoundaryPoint(0, big, 2)
+    for c in sqrt_convergents(2, 30)[-3:]:
+        check_order(s, big * c)
+    check_order(s, BoundaryPoint(0, big, 3))
+    check_order(s, 0)
+    check_order(-s, 1)
+    check_order(BoundaryPoint(big), 1)
+    check_order(BoundaryPoint(-big), -1)
+
+
+def test_enclosure_covers_underflow_magnified_by_the_surd():
+    # q underflows to 0.0 as a float, but q*sqrt(r) is about 2^-599.5: the
+    # enclosure must not claim that the point lies below 2^-700
+    tiny_q = BoundaryPoint(0, F(1, 2**1100), 2**1001 + 1)
+    f, e = tiny_q._enclosure()
+    assert f == 0.0 and e > 2.0**-599
+    check_order(tiny_q, F(1, 2**700))
+    check_order(tiny_q, F(1, 2**599))
+    check_order(tiny_q, BoundaryPoint(F(1, 2**700)))
+
+
+@pytest.mark.parametrize("r", [2**53 + 1, 2**61 - 1, 10**30 + 57, 3 * 2**200 + 1])
+def test_radicands_beyond_two_to_the_53(r):
+    root = BoundaryPoint(0, 1, r)
+    for k in (0, 20, 60, 120):
+        m = math.isqrt(r << (2 * k))
+        for c in (F(m, 2**k), F(m + 1, 2**k)):
+            check_order(root, c)
+            check_order(BoundaryPoint(-c, 1, r), 0)
+    check_order(root, BoundaryPoint(0, 1, r + 2))
+    check_order(root, BoundaryPoint(1, 1, r))
+
+
+@given(
+    q=st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6).filter(bool),
+    r=st.integers(min_value=2, max_value=10**15),
+    k=st.integers(min_value=50, max_value=150),
+    j=st.integers(min_value=-2, max_value=2),
+)
+@settings(max_examples=200, deadline=None)
+def test_p_within_two_to_the_minus_50_of_the_surd(q, r, k, j):
+    """p lies within 2^-50 of -q*sqrt(r), so p + q*sqrt(r) is a near-zero."""
+    # m / 2^k <= |q|*sqrt(r) < (m + 1) / 2^k
+    m = math.isqrt((q.numerator**2 * r << (2 * k)) // q.denominator**2)
+    sgn = 1 if q > 0 else -1
+    p = F(-sgn * m + j, 2**k)
+    x = BoundaryPoint(p, q, r)
+    check_order(x, 0)
+    check_order(x, F(0))
+    check_order(BoundaryPoint(p), BoundaryPoint(0, -q, r))
+    check_order(BoundaryPoint(0, -q, r), p)
+    assert x._compare(0) == x.sign()
+
+
+@given(
+    p=st.fractions(max_denominator=10**12),
+    q=st.fractions(max_denominator=10**12),
+    r=st.integers(min_value=0, max_value=2**70),
+    shift=st.integers(min_value=-1200, max_value=1200),
+)
+@settings(max_examples=300, deadline=None)
+def test_enclosure_contains_the_value(p, q, r, shift):
+    scale = F(2) ** shift
+    x = BoundaryPoint(p * scale, q * scale, r)
+    f, e = x._enclosure()
+    if e == math.inf:
+        return
+    with mpmath.workdps(200):
+        assert abs(mpmath.mpf(f) - mp_value(x)) <= mpmath.mpf(e)
+
+
+def test_filter_decides_clear_cases_without_exact_arithmetic(monkeypatch):
+    from shortintervals import exact
+
+    def forbidden(*args):
+        raise AssertionError("exact path taken for a clear case")
+
+    monkeypatch.setattr(exact, "_surd_sign", forbidden)
+    monkeypatch.setattr(exact, "as_boundary", forbidden)
+    assert S42121 < S60001 < S128689 < F(4, 5) < BoundaryPoint(1)
+    assert S42121 != F(3, 4) and not S60001 == S128689
+    assert BoundaryPoint(F(1, 3)) < 1 and 0 < BoundaryPoint(F(1, 3))

@@ -138,6 +138,15 @@ def test_theta_grid_counts():
         theta_grid(F(1, 2), F(1, 3), 5)
 
 
+def test_theta_grid_steps_ceiling():
+    grid = theta_grid(F(1, 1000), F(999, 1000), mu.MAX_CURVE_STEPS)
+    assert len(grid) == mu.MAX_CURVE_STEPS + 1
+    assert grid[0] == F(1, 1000) and grid[-1] == F(999, 1000)
+    for steps in (0, mu.MAX_CURVE_STEPS + 1, 10**18):
+        with pytest.raises(OutOfDomain):
+            theta_grid(F(1, 2), F(11, 20), steps)
+
+
 def test_curve_finite_and_monotone():
     pts = mu_curve(F(1, 2), F(11, 20), 5)
     assert len(pts) == 6
