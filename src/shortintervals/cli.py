@@ -21,6 +21,7 @@ from .claims import run_claims
 from .errors import (
     NonConvergence,
     OrderError,
+    OutOfDomain,
     ParseError,
     ShortIntervalsError,
 )
@@ -34,6 +35,10 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_CONVERGENCE = 3
 EXIT_IO = 4
+
+# table-dump holds every sample in memory before it prints; the ceiling keeps
+# that bounded for every value the CLI admits
+MAX_DUMP_SAMPLES = 100_000
 
 
 def parse_exact(text: str) -> Fraction:
@@ -209,6 +214,8 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_table_dump(args) -> int:
+    if not 1 <= args.samples <= MAX_DUMP_SAMPLES:
+        raise OutOfDomain(f"samples must lie in [1, {MAX_DUMP_SAMPLES}], got {args.samples}")
     if args.transcription:
         _emit(tables.transcription_text(args.which).rstrip("\n"), args.out)
         return EXIT_OK

@@ -195,6 +195,12 @@ class BoundaryPoint:
         self._f, self._e = f, e
         return f, e
 
+    def float_bounds(self) -> tuple[float, float]:
+        """Floats lo <= value <= hi from the cached enclosure, (-inf, inf)
+        for a value out of float range."""
+        f, e = self._enclosure()
+        return math.nextafter(f - e, -inf), math.nextafter(f + e, inf)
+
     @classmethod
     def rational(cls, x: RationalLike | Fraction) -> "BoundaryPoint":
         return cls(Fraction(x))
@@ -219,6 +225,11 @@ class BoundaryPoint:
             fb, eb = other._enclosure()
         elif isinstance(other, (int, Fraction)):
             fb, eb = _rational_enclosure(other)
+        elif isinstance(other, float):
+            # a float is its own exact enclosure; every point is finite
+            if math.isinf(other):
+                return -1 if other > 0 else 1
+            fb, eb = other, 0.0
         else:
             other = as_boundary(other)
             fb, eb = other._enclosure()

@@ -15,17 +15,18 @@ irrational crossings bisected to the tolerance.  Dropping the second
 Theta enters only through 1-t.  Each table row is compiled once, on first
 use, into integer polynomials (_Row), and a theta = a/b builds every
 polynomial it needs, objectives, critical points and crossings, as
-(b-a)X + b*Y from them (_Moment, _MuCell): one scale and one add each.
-optimize.certified_sup takes the supremum over these cells unchanged.
+(b-a)X + b*Y from them (_Moment, _MuCell): one scale and one add each,
+and only for a cell that optimize.certified_sup evaluates.  The rest are
+ruled out by their bounds, which are outward-rounded floats.
 """
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import inf
+from math import inf, nextafter
 
 from .errors import DomainMismatch, OutOfDomain
-from .exact import BoundaryPoint, as_boundary
+from .exact import BoundaryPoint, as_boundary, float_up
 from .optimize import SupCell, SupResult, certified_sup
 from .piecewise import PiecewiseBound, RationalFunction, _merged_cells, feasible_region
 from .polys import (
@@ -82,6 +83,14 @@ def _scaled_row(rf: RationalFunction) -> tuple[Poly, Poly]:
     return pdivmod(num, g)[0], pdivmod(rf.den, g)[0]
 
 
+def _up(x: float) -> float:
+    return nextafter(x, inf)
+
+
+def _down(x: float) -> float:
+    return nextafter(x, -inf)
+
+
 def _ints(p: Poly) -> tuple[int, ...]:
     """An integral polynomial's coefficients as ints."""
     return tuple(map(int, p))
@@ -105,7 +114,8 @@ class _Row:
 
     def __init__(self, rf: RationalFunction, top: Fraction, m: int):
         (g, h), self.scale = common_ints(*_scaled_row(rf))
-        self.m, self.g, self.h, self.top = m, g, h, top
+        # exact for piece_max, which is a float's Fraction
+        self.m, self.g, self.h, self.top = m, g, h, float_up(top)
         self.y = _ints(pmul((1 - m, m), h))
         self.w = _ints(psub(pmul(pderiv(g), h), pmul(g, pderiv(h))))
         self.mh2 = _ints(pscale(pmul(h, h), m))
@@ -125,26 +135,55 @@ class _Row:
 
 class _Moment:
     """A row's moment objective at theta = a/b, as the integer quotient
-    num/den = ((b-a)G + b*Y)/(b*H) (see _Row)."""
+    num/den = ((b-a)G + b*Y)/(b*H) (see _Row), built on first use: most
+    cells are skipped by their bound and never evaluated."""
 
-    __slots__ = ("row", "a", "b", "num", "den", "top", "_critical")
+    __slots__ = ("row", "a", "b", "top", "_quotient", "_critical")
 
     def __init__(self, row: _Row, a: int, b: int):
         self.row, self.a, self.b = row, a, b
-        self.num = lincomb(b - a, row.g, b, row.y)
-        self.den = tuple(b * x for x in row.h)
-        self.top = Fraction(b - a, b) * row.top  # (1-t) times the piece's maximum
-        self._critical = None
+        # a float upper bound on (1-t) times the piece's maximum; (b-a)/b is
+        # the correctly rounded 1-t, and one step out bounds it on either side
+        u = (b - a) / b
+        self.top = _up(row.top * (_up(u) if row.top >= 0 else _down(u)))
+        self._quotient = self._critical = None
 
-    def bound(self, x_lo: Fraction, y_hi: Fraction) -> Fraction:
-        """Upper bound on the objective over a cell [x, y] of the piece,
-        given rationals x_lo <= x and y_hi >= y: there 0 <= 1-s <= 1-x, so
-        (1-s)A(s) <= (1-x)*top when top >= 0 and <= (1-y)*top otherwise."""
-        m = self.row.m
-        return self.top * (1 - x_lo if self.top >= 0 else 1 - y_hi) + (m * y_hi - (m - 1))
+    def bound(self, x_lo: float, y_hi: float) -> float:
+        """Upper bound on the objective (1-t)(1-s)A(s) + m*s - (m-1) over a
+        cell [x, y] of the piece, given floats x_lo <= x and y_hi >= y.
+
+        On the piece A(s) <= row.top, and on the cell 0 <= 1-y <= 1-s <=
+        1-x.  self.top = T >= (1-t)*row.top: for row.top >= 0 it multiplies
+        by 1-t rounded up, for row.top < 0 by 1-t rounded down.  As 1-s >= 0,
+        (1-t)(1-s)A(s) <= T(1-s), and
+          - if T > 0: T(1-s) <= T(1-x) <= T*w for w = 1 - x_lo rounded up;
+          - if T <= 0 (row.top < 0, or a tiny product): T(1-s) <= T(1-y) <=
+            T*w for any w <= 1-y, such as w = max(1 - y_hi rounded down, 0).
+        Also m*s - (m-1) <= m*y_hi - (m-1).  Each float operation rounds to
+        nearest, so stepping its result one float up (_up) or down (_down)
+        puts it on the safe side of the exact value, and the sum of the
+        two parts, rounded up, bounds the objective.  Only float operations
+        and comparisons are involved, so the bound holds under python -O.
+        An infinite end (a cell end out of float range) gives an infinite
+        bound, never a nan: T*w is finite for T <= 0 and w finite >= 0.
+        """
+        m, t = self.row.m, self.top
+        tail = _up(_up(m * y_hi) - (m - 1))
+        w = _up(1.0 - x_lo) if t > 0 else max(_down(1.0 - y_hi), 0.0)
+        return _up(_up(t * w) + tail)
+
+    def quotient(self) -> tuple:
+        """(num, den), built on first use."""
+        if self._quotient is None:
+            row, b = self.row, self.b
+            self._quotient = lincomb(b - self.a, row.g, b, row.y), tuple(b * x for x in row.h)
+        return self._quotient
+
+    num = property(lambda self: self.quotient()[0])
+    den = property(lambda self: self.quotient()[1])
 
     def eval_exact(self, x):
-        return ratio_at(self.num, self.den, x)
+        return ratio_at(*self.quotient(), x)
 
     def critical(self) -> tuple:
         """(p, den) for the numerator of the derivative, built on first use."""
@@ -197,6 +236,13 @@ class _PieceIndex:
         return out
 
 
+def _cell_bound(x: BoundaryPoint, y: BoundaryPoint, objectives) -> float:
+    """A float upper bound on min(objectives) over the cell [x, y], from
+    the cell ends' float enclosures (see _Moment.bound)."""
+    x_lo, y_hi = x.float_bounds()[0], y.float_bounds()[1]
+    return min([f.bound(x_lo, y_hi) for f in objectives])
+
+
 @lru_cache(maxsize=None)
 def _mode_grid(mode: HypothesisMode, pintz_max_n: int):
     """The A table, the row indices of both tables, the merged breakpoints
@@ -224,7 +270,7 @@ def objective_cells(
     breakpoint produces one point-cell per adjacent piece pair, which
     realizes the upper-regularized (max over adjacent rows) reading of the
     tables.  Each cell carries an upper bound on its objective from the
-    maxima of its pieces.
+    maxima of its pieces, an outward-rounded float (_cell_bound).
     """
     theta = _as_theta(theta)
     atab, a_idx, astar_idx, bps, spans = _mode_grid(mode, pintz_max_n)
@@ -239,19 +285,17 @@ def objective_cells(
         return objectives[row]
 
     def add_cell(x, y, a_rows, star_rows):
-        x_lo, y_hi = x.enclose_fraction(32)[0], y.enclose_fraction(32)[1]
         for ra in a_rows:
             if ra is None:
                 continue
             l2 = objective(ra)
-            bound = l2.bound(x_lo, y_hi)
             if refined:
                 for rs in star_rows:
                     if rs is not None:
-                        l4 = objective(rs)
-                        cells.append(_MuCell(x, y, (l2, l4), min(bound, l4.bound(x_lo, y_hi))))
+                        pair = (l2, objective(rs))
+                        cells.append(_MuCell(x, y, pair, _cell_bound(x, y, pair)))
             else:
-                cells.append(_MuCell(x, y, (l2,), bound))
+                cells.append(_MuCell(x, y, (l2,), _cell_bound(x, y, (l2,))))
 
     for rlo, rhi in region:
         if rlo == rhi:

@@ -27,7 +27,11 @@ from .polys import ExactRoot, pderiv, pmul, pscale, psub, sign_at
 
 class SupCell:
     """A closed sigma-cell with the objective min(objectives) on it, and
-    optionally a known upper bound on that objective over the cell."""
+    optionally a known upper bound on that objective over the cell.
+
+    The bound may be a float or an exact value (int, Fraction or
+    BoundaryPoint); either way it must be a true upper bound, and
+    certified_sup compares it exactly."""
 
     __slots__ = ("lo", "hi", "objectives", "bound")
 
@@ -175,9 +179,13 @@ def certified_sup(cells: list[SupCell], tol: Fraction | float) -> SupResult:
     objective has a pole in a closed cell, and NonConvergence when tol is
     narrower than the float bracket can be.
 
-    Cells are visited by decreasing bound, and a cell whose bound + tol is
-    below a value already attained is skipped: it cannot hold the witness
-    nor raise the upper end.  Ties still go to the first cell in list order.
+    Cells are visited by decreasing bound.  Each time the best attained
+    value improves, floor = best - tol is formed once, and a cell with
+    floor > bound is skipped: it cannot hold the witness nor raise the
+    upper end.  The comparison is exact for a float bound too (a float is
+    an exact rational), so a skipped cell is one the bound truly rules
+    out, and neither which cells are skipped nor the order of the rest
+    changes the result.  Ties still go to the first cell in list order.
     """
     if not tol > 0:
         raise OutOfDomain(f"tol must be positive, got {tol}")
@@ -186,17 +194,20 @@ def certified_sup(cells: list[SupCell], tol: Fraction | float) -> SupResult:
         return SupResult(-inf, -inf, None, None)
     tol = Fraction(tol)
     found, bounds = [[] for _ in cells], []  # found is kept per cell, in list order
-    best = None
+    best = floor = None
     order = sorted(range(len(cells)),
                    key=lambda i: -inf if cells[i].bound is None else -float(cells[i].bound))
     for i in order:
         cell = cells[i]
-        if best is not None and cell.bound is not None and cell.bound + tol < best:
+        if floor is not None and cell.bound is not None and floor > cell.bound:
             continue
         _cell_sup(cell, tol, found[i], bounds)
         top = max(found[i], key=itemgetter(0))[0]
         if best is None or top > best:
             best = top
+            # as a BoundaryPoint, comparing it with a float bound is filtered
+            # through float enclosures before any exact arithmetic
+            floor = as_boundary(best - tol)
     value, index, witness = max(chain.from_iterable(found), key=itemgetter(0))
     lower = _value_bounds(value)[0]
     upper = _value_bounds(max([value] + bounds))[1]

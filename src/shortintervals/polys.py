@@ -9,7 +9,8 @@ A polynomial's coefficients are Fractions or ints.  The per-theta kernels
 keep integer coefficients c and a positive integer scale d for the rational
 polynomial c/d: they evaluate by homogeneous integer Horner, with one
 Fraction per value, and find roots of degree <= 2 from the integer
-discriminant.
+discriminant.  Sturm isolation, which needs only signs, runs on integer
+chains too.
 """
 
 from fractions import Fraction
@@ -354,6 +355,12 @@ def _roots_between(c: tuple[int, ...], d: int, lo: BoundaryPoint, hi: BoundaryPo
     return [r for r, keep in zip(_quadratic_roots(c, d), inside) if keep]
 
 
+def _sign_definite(p, x) -> bool:
+    """x is rational and not a root of p."""
+    x = as_boundary(x)
+    return x.is_rational and sign_at(p, x) != 0
+
+
 def _refine_bracket(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> Root:
     """Shrink an isolating interval (simple root, sign change) to width."""
     s_lo = sign_at(p, lo)
@@ -394,15 +401,16 @@ def roots_in_closed_interval(
         return []
     if len(sf) <= 3:
         return [ExactRoot(b) for b in _roots_between(sf, d, lo, hi)]
-    sf = tuple(Fraction(x, d) for x in sf)
 
+    # from here on only signs matter, and a positive scale changes none, so
+    # sf and every Sturm chain element are kept over the integers
     out: list[Root] = []
     if sign_at(sf, lo) == 0:
         out.append(ExactRoot(lo))
     if lo == hi:
         return out
 
-    chain = sturm_chain(sf)
+    chain = [int_form(c)[0] for c in sturm_chain(sf)]
     stack = [(lo, hi)]
     isolated: list[tuple[Fraction, Fraction]] = []
     exacts: list[BoundaryPoint] = []
@@ -418,9 +426,11 @@ def roots_in_closed_interval(
             stack.append((mid, b))
             continue
         if n == 1:
-            # shrink until the endpoints are rational and sign-definite
+            # shrink until the endpoints are rational and sign-definite: an end
+            # may be an exact root found above, whose zero sign would send
+            # _refine_bracket toward that end instead of the open root
             aa, bb = a, b
-            while not (as_boundary(aa).is_rational and as_boundary(bb).is_rational):
+            while not (_sign_definite(sf, aa) and _sign_definite(sf, bb)):
                 m2 = rational_between(aa, bb)
                 s2 = sign_at(sf, m2)
                 if s2 == 0:

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from shortintervals import mu, tables
+from shortintervals import cli, mu, tables
 from shortintervals.cli import dispatch, parse_exact
 from shortintervals.errors import ParseError
 
@@ -210,6 +210,22 @@ def test_table_dump_csv_sampled(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "sigma,value"
     assert any(ln.endswith(",-inf") for ln in lines[1:])
+
+
+@pytest.mark.parametrize("samples", [-5, 0, cli.MAX_DUMP_SAMPLES + 1])
+def test_table_dump_samples_outside_the_range_is_a_domain_error(capsys, monkeypatch, samples):
+    built = []
+    monkeypatch.setattr(tables, "a_table", lambda *args: built.append(args))
+    assert dispatch(["table-dump", "--which", "a", "--samples", str(samples)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and not captured.out
+    assert not built  # rejected before any table is built or sampled
+
+
+def test_table_dump_one_sample_runs(capsys):
+    rc, out = run(capsys, "--format", "csv", "table-dump", "--which", "a", "--samples", "1")
+    assert rc == 0
+    assert out.splitlines()[0] == "sigma,value" and len(out.splitlines()) > 1
 
 
 # ----- verify ------------------------------------------------------------------

@@ -413,3 +413,31 @@ def test_filter_decides_clear_cases_without_exact_arithmetic(monkeypatch):
     assert S42121 < S60001 < S128689 < F(4, 5) < BoundaryPoint(1)
     assert S42121 != F(3, 4) and not S60001 == S128689
     assert BoundaryPoint(F(1, 3)) < 1 and 0 < BoundaryPoint(F(1, 3))
+
+
+@given(
+    p=st.fractions(max_denominator=10**12),
+    q=st.fractions(max_denominator=10**12),
+    r=st.integers(min_value=0, max_value=2**70),
+    shift=st.integers(min_value=-1200, max_value=1200),
+)
+@settings(max_examples=300, deadline=None)
+def test_float_bounds_and_float_operands(p, q, r, shift):
+    # float_bounds encloses the value, and a float operand compares as the
+    # exact rational it is (an infinity as itself), on either side
+    scale = F(2) ** shift
+    x = BoundaryPoint(p * scale, q * scale, r)
+    lo, hi = x.float_bounds()
+    assert lo == -math.inf or F(lo) <= x
+    assert hi == math.inf or x <= F(hi)
+    assert x < math.inf and x > -math.inf and math.inf > x and -math.inf < x
+    f = x._enclosure()[0]
+    for g in {lo, hi, f, math.nextafter(f, 0.0), 0.0} - {-math.inf, math.inf}:
+        assert ((x < g), (x > g), (x <= g), (x >= g)) == ((x < F(g)), (x > F(g)), (x <= F(g)), (x >= F(g)))
+        assert (g < x, g > x) == (F(g) < x, F(g) > x)
+
+
+def test_float_bounds_of_a_rational_and_a_surd():
+    for x in (BoundaryPoint(F(7, 10)), S42121, BoundaryPoint(0), BoundaryPoint(F(1, 2**1100))):
+        lo, hi = x.float_bounds()
+        assert F(lo) <= x <= F(hi) and lo < hi

@@ -208,19 +208,17 @@ def _cells_by_covering(theta, mode, refined):
     for rlo, rhi in feasible_region(atab, 1 / (1 - theta)):
         cuts = [rlo, *bps[bisect_right(bps, rlo) : bisect_left(bps, rhi)], rhi]
         for x, y in [(rlo, rhi)] if rlo == rhi else zip(cuts, cuts[1:]):
-            x_lo, y_hi = x.enclose_fraction(32)[0], y.enclose_fraction(32)[1]
             for ra in a_idx.covering(x, y):
                 if ra is None:
                     continue
                 l2 = mu._Moment(ra, theta.numerator, theta.denominator)
-                bound = l2.bound(x_lo, y_hi)
                 if not refined:
-                    out.append((x, y, [l2], bound))
+                    out.append((x, y, [l2], mu._cell_bound(x, y, [l2])))
                     continue
                 for rs in astar_idx.covering(x, y):
                     if rs is not None:
                         l4 = mu._Moment(rs, theta.numerator, theta.denominator)
-                        out.append((x, y, [l2, l4], min(bound, l4.bound(x_lo, y_hi))))
+                        out.append((x, y, [l2, l4], mu._cell_bound(x, y, [l2, l4])))
     return out
 
 
@@ -363,3 +361,35 @@ def test_cell_bounds_are_sound_and_change_nothing(mode):
             a, b = certified_sup(cells, tol), certified_sup(plain, tol)
             assert (a.upper, a.lower, a.active_index) == (b.upper, b.lower, b.active_index)
             assert a.witness == b.witness
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(theta=st.fractions(min_value=F(1, 1000), max_value=F(999, 1000), max_denominator=10**9),
+       mode=st.sampled_from([UNC, DH, LH, RH]))
+@example(theta=1 - F(1, 2**80), mode=UNC)
+@example(theta=F(1, 3**50), mode=UNC)
+@example(theta=F(1, 3**50), mode=DH)
+@example(theta=F(1, 3**50), mode=LH)
+@example(theta=F(1, 3**50), mode=RH)
+@example(theta=F(17, 30), mode=UNC)  # a point region [7/10, 7/10]
+@example(theta=F(1, 2), mode=DH)
+def test_float_cell_bounds_dominate_the_exact_ones(theta, mode):
+    # each objective's float bound is at least the exact bound it stands for,
+    # (1-t)*top*(1-x or 1-y) + m*y - (m-1) with the piece's exact maximum top,
+    # taken at the exact (surd) cell ends; a cell's bound is their min
+    _, a_idx, astar_idx, _, _ = mu._mode_grid(mode, DEFAULT_PINTZ_MAX_N)
+    for refined in (True, False):
+        cells = mu.objective_cells(theta, mode, refined)
+        tops = {id(row): index.pw.piece_max(k)
+                for index in (a_idx, astar_idx) for k, row in index.rows.items() if row}
+        for cell in cells:
+            x, y = cell.lo, cell.hi
+            own = [mu._cell_bound(x, y, (f,)) for f in cell.objectives]
+            assert cell.bound == min(own)
+            for f, bound in zip(cell.objectives, own):
+                m, t = f.row.m, (1 - theta) * tops[id(f.row)]
+                tail = m * y - (m - 1)
+                head = t * (1 - x) if t >= 0 else t * (1 - y)
+                # bound - tail >= head is bound >= head + tail without
+                # adding surds of two fields
+                assert F(bound) - tail >= head

@@ -1,7 +1,8 @@
 from fractions import Fraction as F
 
+import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from shortintervals.errors import ShortIntervalsError
@@ -13,10 +14,12 @@ from shortintervals.polys import (
     cut_at_roots,
     int_form,
     pdegree,
+    pderiv,
     pdivmod,
     peval,
     pgcd,
     pmul,
+    pscale,
     rational_between,
     roots_in_closed_interval,
     sign_at,
@@ -273,3 +276,67 @@ def test_cut_at_roots_contract(case, width):
         else:
             # an independent reference: no root of any p inside the stretch
             assert all(count_roots_open(chain, x, y) == 0 for chain in chains)
+
+
+@st.composite
+def squarefree_cubic_on_interval(draw):
+    """(p, lo, hi): a square-free cubic with Fraction coefficients, either
+    drawn coefficient by coefficient or as a product with three real roots
+    (rational, or one rational and a surd pair), and a rational interval,
+    often [-B, B] with B beyond every root."""
+    kind = draw(st.sampled_from(["coefficients", "three rational", "rational and surds"]))
+    if kind == "coefficients":
+        p = tuple(draw(small) for _ in range(3)) + (draw(small.filter(bool)),)
+    elif kind == "three rational":
+        roots = draw(st.lists(small, min_size=3, max_size=3, unique=True))
+        p = pscale(pmul(pmul(P(-roots[0], 1), P(-roots[1], 1)), P(-roots[2], 1)),
+                   draw(small.filter(bool)))
+    else:
+        b, c = draw(small), draw(small)
+        e = draw(st.sampled_from([2, 3, 5, 7])) * draw(st.sampled_from([F(1), F(1, 4), F(1, 9)]))
+        p = pscale(pmul(P(-b, 1), P(c * c - e, -2 * c, 1)), draw(small.filter(bool)))
+    assume(pdegree(pgcd(p, pderiv(p))) == 0)  # square-free
+    bound = 1 + max(abs(x / p[-1]) for x in p[:-1])
+    if draw(st.booleans()):
+        return p, -bound, bound
+    ends = st.integers(min_value=-48, max_value=48).map(lambda n: F(n, 12))
+    lo, hi = sorted([draw(ends), draw(ends)])
+    return p, lo, hi
+
+
+def _shape(roots):
+    return [("exact", r.point.p, r.point.q, r.point.r) if isinstance(r, ExactRoot)
+            else ("bracket", r.lo, r.hi) for r in roots]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=squarefree_cubic_on_interval(),
+       k=st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=1000))
+@example(case=(P(-2, 0, 0, 1), F(0), F(2)), k=F(3, 7))  # the cube root of 2
+# the first midpoint, 0, is a root and ends the isolating interval of sqrt 2
+@example(case=(P(0, -2, 0, 1), F(-3), F(3)), k=F(1))
+def test_cubic_isolation_ignores_positive_scale(case, k):
+    # p, k*p and p's integer form isolate the same brackets, and each
+    # bracket or exact root holds exactly one real root, found by mpmath
+    p, lo, hi = case
+    got = roots_in_closed_interval(p, lo, hi)
+    assert _shape(roots_in_closed_interval(pscale(p, k), lo, hi)) == _shape(got)
+    assert _shape(roots_in_closed_interval(int_form(p)[0], lo, hi)) == _shape(got)
+    def mp(x):
+        return mpmath.mpf(x.numerator) / x.denominator
+
+    with mpmath.workdps(60):
+        tiny = mpmath.mpf(10) ** -40
+        real = [z.real for z in mpmath.polyroots([mp(x) for x in reversed(p)],
+                                                 maxsteps=200, extraprec=200)
+                if abs(z.imag) < tiny]
+        inside = [z for z in real if mp(lo) - tiny <= z <= mp(hi) + tiny]
+        assert len(got) == len(inside)
+        for root in got:
+            if isinstance(root, ExactRoot):
+                x = root.point
+                value = mp(x.p) + mp(x.q) * mpmath.sqrt(x.r)
+                assert sum(abs(z - value) <= tiny for z in real) == 1
+            else:
+                assert root.hi - root.lo <= DEFAULT_BRACKET_WIDTH
+                assert sum(mp(root.lo) < z < mp(root.hi) for z in real) == 1
