@@ -25,7 +25,11 @@ from .errors import (
     TooManyZeros,
 )
 
+# the sieve holds two float64 arrays of limit + 1 entries; max_limit may
+# lower this ceiling but never raise it
 DEFAULT_MAX_LIMIT = 10**8
+# a moment sample holds two float64 arrays of this many entries
+MAX_MOMENT_SAMPLES = 1_000_000
 _CACHE_MAGIC = b"LAMS"
 _CACHE_VERSION = 1
 
@@ -104,7 +108,10 @@ def sieve_lambda(
     max_limit: int = DEFAULT_MAX_LIMIT,
     segment: int = 1 << 22,
 ) -> LambdaSieve:
-    """Segmented sieve for Lambda up to limit (memory guard: max_limit)."""
+    """Segmented sieve for Lambda up to limit (memory guard: max_limit, at
+    most DEFAULT_MAX_LIMIT)."""
+    if max_limit > DEFAULT_MAX_LIMIT:
+        raise LimitTooLarge(f"guard {max_limit} exceeds the ceiling {DEFAULT_MAX_LIMIT}")
     if limit < 2:
         raise OutOfRange("limit must be >= 2")
     if limit > max_limit:
@@ -370,12 +377,12 @@ def moment_statistic(
 
     tau = X^(1-theta); the zero sum is truncated at T = min(tau, max height).
     Returns the sample mean with its standard error; the seed fixes the
-    sample for reproducibility.
+    sample for reproducibility.  samples must lie in [1, MAX_MOMENT_SAMPLES].
     """
     if k not in (1, 2):
         raise OutOfRange("k must be 1 or 2")
-    if samples < 1:
-        raise OutOfRange("samples must be >= 1")
+    if not 1 <= samples <= MAX_MOMENT_SAMPLES:
+        raise OutOfRange(f"samples must lie in [1, {MAX_MOMENT_SAMPLES}], got {samples}")
     theta_f = float(theta)
     tau = float(X) ** (1.0 - theta_f)
     T = min(tau, zeros.max_T)

@@ -9,7 +9,7 @@ A~*, the bound is
 with the empty supremum equal to -infinity.  The constraint region is solved
 exactly; on each cell the supremum is taken over exact candidate points
 (cell ends, critical points and crossings of the two moments), with
-irrational crossings bisected to the tolerance.  Dropping the second
+cubic crossings bisected to the tolerance.  Dropping the second
 (fourth-moment) term gives the weaker second-moment-only variant.
 
 Theta enters only through 1-t.  Each table row is compiled once, on first

@@ -8,10 +8,12 @@ objectives' numerators and denominators, after checking that no objective
 has a pole in the cell, and a subclass may supply precompiled ones (the mu
 cells do).  There the maximum of the min lies at a cut or at a
 crossing of a non-decreasing and a non-increasing objective.  Cuts and
-crossings with rational or quadratic roots are evaluated exactly; other
-crossings are bisected on the sign of the difference polynomial until the
-value they bound is attained within tol/4.  The returned bracket
-[lower, upper] always contains the true supremum.
+crossings of degree at most 2 are rational or quadratic and evaluated
+exactly.  A crossing polynomial of higher degree changes sign once in its
+stretch, so it is bisected on that sign until the value it bounds is
+attained within tol/4.  Denominators and critical-point polynomials of
+degree 3 or more raise OutOfDomain (polys.roots_in_closed_interval).  The
+returned bracket [lower, upper] always contains the true supremum.
 """
 
 from fractions import Fraction
@@ -22,7 +24,12 @@ from operator import itemgetter
 from . import polys
 from .errors import DenominatorVanishes, NonConvergence, OutOfDomain
 from .exact import BoundaryPoint, as_boundary, float_down, float_up
-from .polys import ExactRoot, pderiv, pmul, pscale, psub, sign_at
+from .polys import pderiv, pmul, psub, sign_at
+
+# a sign step evaluates one polynomial, a value step every objective at both
+# ends, so a crossing of degree 3 or more is narrowed on signs alone to this
+# width before the values at its ends are compared
+_WIDTH = Fraction(1, 10**12)
 
 
 class SupCell:
@@ -48,7 +55,8 @@ class SupCell:
     def critical_polys(self) -> list:
         """Pairs (p, den) whose polynomials p/den hold the critical points
         of the objectives: each nonzero N'D - ND'.  Raises
-        DenominatorVanishes when an objective has a pole in the closed cell."""
+        DenominatorVanishes when an objective has a pole in the closed cell,
+        and OutOfDomain when a denominator has degree 3 or more."""
         out = []
         for rf in self.objectives:
             if polys.roots_in_closed_interval(rf.den, self.lo, self.hi):
@@ -102,32 +110,28 @@ def _point(x: BoundaryPoint):
     return x.as_fraction() if x.is_rational else x
 
 
-def _bracket_bound(objectives, x, y, vx, vy, tol):
-    """A bound on min(objectives) over [x, y], where some objective has a
-    critical point: max(f(x), f(y)) + tol/2 for an f whose N - bound*D has
-    no root in [x, y]."""
-    bounds = []
-    for rf, a, b in zip(objectives, vx, vy):
-        bound = Fraction(_value_bounds(max(a, b))[1]) + tol / 2
-        level = psub(rf.num, pscale(rf.den, bound))
-        if not level or not polys.roots_in_closed_interval(level, x, y):
-            bounds.append(bound)
-    if not bounds:
-        raise NonConvergence(f"cannot bound the objectives on [{x}, {y}] within tol")
-    return min(bounds)
-
-
 def _crossing(cell, up, dn, i, j, x, y, tol, found, bounds):
     """Candidate at the crossing of up-objective i and down-objective j in (x, y)."""
     objectives = cell.objectives
     diff, den = cell.crossing(i, j)
-    root = polys.roots_in_closed_interval(diff, x, y, den=den)[0]
-    if isinstance(root, ExactRoot):
+    if len(diff) <= 3:
+        root = polys.roots_in_closed_interval(diff, x, y, den)[0]
         t = _point(root.point)
         found.append((*_argmin([rf.eval_exact(t) for rf in objectives]), t))
         return
-    p, q = root.lo, root.hi
+    # f_i - f_j rises through 0 once in (x, y), and diff is f_i - f_j times
+    # denominators of one sign there, so the sign of diff alone locates the
+    # crossing: bisect until both ends are rational and _WIDTH apart; a
+    # midpoint where diff vanishes is the crossing itself
+    p, q = _point(x), _point(y)
     s_p = sign_at(diff, p)
+    while not (type(p) is type(q) is Fraction and q - p <= _WIDTH):
+        m = polys.rational_between(p, q)
+        s_m = sign_at(diff, m)
+        if s_m == 0:
+            found.append((*_argmin([rf.eval_exact(m) for rf in objectives]), m))
+            return
+        p, q = (m, q) if s_m == s_p else (p, m)
     while True:
         vp = [rf.eval_exact(p) for rf in objectives]
         vq = [rf.eval_exact(q) for rf in objectives]
@@ -147,19 +151,15 @@ def _crossing(cell, up, dn, i, j, x, y, tol, found, bounds):
 
 def _cell_sup(cell: SupCell, tol: Fraction, found: list, bounds: list):
     """Append the cell's attained (value, index, point) candidates to found,
-    and the bounds on its bisected stretches to bounds."""
+    and the bounds on its bisected crossings to bounds."""
     objectives = cell.objectives
-    cuts, bracketed, _ = polys.cut_at_roots(cell.critical_polys(), cell.lo, cell.hi)
+    cuts, _ = polys.cut_at_roots(cell.critical_polys(), cell.lo, cell.hi)
     values = []
     for x in cuts:
         t = _point(x)
         values.append([rf.eval_exact(t) for rf in objectives])
         found.append((*_argmin(values[-1]), t))
-    for k, hidden in enumerate(bracketed):
-        x, y, vx, vy = cuts[k], cuts[k + 1], values[k], values[k + 1]
-        if hidden:
-            bounds.append(_bracket_bound(objectives, x, y, vx, vy, tol))
-            continue
+    for x, y, vx, vy in zip(cuts, cuts[1:], values, values[1:]):
         # every objective is monotone on [x, y]; a constant one counts as both
         up = [i for i in range(len(objectives)) if not vy[i] < vx[i]]
         dn = [i for i in range(len(objectives)) if not vx[i] < vy[i]]
@@ -175,9 +175,11 @@ def certified_sup(cells: list[SupCell], tol: Fraction | float) -> SupResult:
     the witness is an exact point whose objective value is >= lower, and
     active_index is the first objective attaining the min there.  An empty
     cell list yields the empty-supremum convention (-inf).  Raises
-    OutOfDomain when tol is not positive, DenominatorVanishes when an
-    objective has a pole in a closed cell, and NonConvergence when tol is
-    narrower than the float bracket can be.
+    OutOfDomain when tol is not positive or when a cell's denominators or
+    critical-point polynomials have degree 3 or more (a crossing of any
+    degree is fine), DenominatorVanishes when an objective has a pole in a
+    closed cell, and NonConvergence when tol is narrower than the float
+    bracket can be.
 
     Cells are visited by decreasing bound.  Each time the best attained
     value improves, floor = best - tol is formed once, and a cell with

@@ -15,15 +15,7 @@ from . import polys
 from .errors import DenominatorVanishes, DomainMismatch, OutOfDomain
 from .exact import BoundaryPoint, as_boundary
 from .optimize import SupCell, certified_sup
-from .polys import (
-    DEFAULT_BRACKET_WIDTH,
-    Poly,
-    pmul,
-    pscale,
-    psub,
-    ptrim,
-    rational_between,
-)
+from .polys import Poly, pmul, pscale, psub, ptrim, rational_between
 
 _MAX_TOL = Fraction(1, 10**9)
 
@@ -184,7 +176,8 @@ class PiecewiseBound:
     def piece_max(self, k: int) -> Fraction | None:
         """An upper bound, within 1e-9, on piece k's formula over its closed
         cell (None for -inf), computed once; a pole in the closed cell
-        raises DenominatorVanishes."""
+        raises DenominatorVanishes, and a denominator or critical-point
+        polynomial of degree 3 or more raises OutOfDomain (certified_sup)."""
         if k not in self._maxima:
             p = self.pieces[k]
             self._maxima[k] = None if p.rf is None else Fraction(
@@ -250,18 +243,13 @@ def _merged_cells(a: PiecewiseBound, b: PiecewiseBound):
         yield lo, hi, ia, ib
 
 
-def pointwise_min(
-    a: PiecewiseBound,
-    b: PiecewiseBound,
-    bracket_width: Fraction = DEFAULT_BRACKET_WIDTH,
-) -> PiecewiseBound:
+def pointwise_min(a: PiecewiseBound, b: PiecewiseBound) -> PiecewiseBound:
     """Pointwise minimum of two bounds over the same domain.
 
     On each cell of the common refinement the formulas' crossing points are
-    inserted as new breakpoints: exactly when they are rational or quadratic
-    over Q, otherwise as a certified bracket of width <= bracket_width in
-    which the larger (conservative) formula is kept.  Root isolation starts
-    from the cell, so brackets lie inside it and need no clipping.
+    inserted as new breakpoints, exactly: they are rational or quadratic
+    over Q.  Raises OutOfDomain when a crossing polynomial has degree 3 or
+    more (polys.roots_in_closed_interval).
     """
     if not (a.lo == b.lo and a.sigma_cap == b.sigma_cap):
         raise DomainMismatch(
@@ -289,15 +277,10 @@ def pointwise_min(
         if not diff:
             emit(lo, hi, pa.rf, pa.provenance)
             continue
-        cuts, bracketed, _ = polys.cut_at_roots([(diff, 1)], lo, hi, bracket_width)
-        for x, y, hidden in zip(cuts, cuts[1:], bracketed):
+        cuts, _ = polys.cut_at_roots([(diff, 1)], lo, hi)
+        for x, y in zip(cuts, cuts[1:]):
             t = rational_between(x, y)
-            va, vb = pa.rf.eval_exact(t), pb.rf.eval_exact(t)
-            if hidden:
-                # a crossing hides inside: keep the larger formula (conservative)
-                winner = pa if va >= vb else pb
-            else:
-                winner = pa if va <= vb else pb
+            winner = pa if pa.rf.eval_exact(t) <= pb.rf.eval_exact(t) else pb
             emit(x, y, winner.rf, winner.provenance)
     return PiecewiseBound(out)
 
@@ -308,8 +291,12 @@ def feasible_region(pw: PiecewiseBound, c: Fraction) -> list[tuple[BoundaryPoint
     Each piece is solved on its closed cell [lo, hi]; since regularization
     takes the max of adjacent pieces at breakpoints, the union over closed
     cells is exactly the upper level set.  Pieces whose maximum is below c
-    are skipped unsolved.  Endpoints are exact for rational or quadratic
-    crossings; bracketed crossings round the region outward.
+    are skipped unsolved.  Endpoints are exact: each crossing of a row with
+    c is rational or quadratic.  A piece that is solved or bounded raises
+    OutOfDomain when its crossing with c, its denominator or its
+    critical-point polynomial has degree 3 or more
+    (polys.roots_in_closed_interval), and DenominatorVanishes when it has a
+    pole (piece_max).
     """
     c = Fraction(c)
     n, d = c.numerator, c.denominator
@@ -324,15 +311,15 @@ def feasible_region(pw: PiecewiseBound, c: Fraction) -> list[tuple[BoundaryPoint
         if not diff:
             intervals.append((piece.lo, piece.hi))
             continue
-        cuts, bracketed, exact = polys.cut_at_roots([(diff, d * m)], piece.lo, piece.hi)
+        cuts, exact = polys.cut_at_roots([(diff, d * m)], piece.lo, piece.hi)
         # equality points are feasible on their own, possibly isolated
         intervals += [(x, x) for x in exact]
-        for x, y, hidden in zip(cuts, cuts[1:], bracketed):
-            # a crossing bracket rounds outward; on any other stretch d*P - n*Q
-            # has one sign, read at an end where it does not vanish (or
-            # inside), and Q has one sign on the piece (piece_max(k) has
-            # ruled out a pole), so rf > c there iff their product is > 0
-            if hidden or (polys.sign_at(diff, x) or polys.sign_at(diff, y) or polys.sign_at(
+        for x, y in zip(cuts, cuts[1:]):
+            # d*P - n*Q has one sign on the stretch, read at an end where it
+            # does not vanish (or inside), and Q has one sign on the piece
+            # (piece_max(k) has ruled out a pole), so rf > c there iff their
+            # product is > 0
+            if (polys.sign_at(diff, x) or polys.sign_at(diff, y) or polys.sign_at(
                     diff, rational_between(x, y))) * polys.sign_at(q, x) > 0:
                 intervals.append((x, y))
 

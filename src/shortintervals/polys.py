@@ -1,16 +1,16 @@
 """Polynomials with exact rational coefficients.
 
-Supports the root classification needed by the piecewise algebra: linear and
-quadratic factors give exact BoundaryPoint roots, anything of higher degree
-falls back to Sturm isolation with certified rational brackets.  cut_at_roots
-is the one place where an interval is cut at such roots.
+Roots are exact: a polynomial of degree 1 or 2 has rational or quadratic
+surd roots, which come back as BoundaryPoints, and cut_at_roots is the one
+place where an interval is cut at them.  Degree 3 or more raises
+OutOfDomain: every table row, region boundary and mu critical point has
+degree at most 2, and the one higher-degree polynomial on the mu path, a
+cubic L2/L4 crossing, needs only signs, which optimize._crossing bisects on.
 
 A polynomial's coefficients are Fractions or ints.  The per-theta kernels
 keep integer coefficients c and a positive integer scale d for the rational
 polynomial c/d: they evaluate by homogeneous integer Horner, with one
-Fraction per value, and find roots of degree <= 2 from the integer
-discriminant.  Sturm isolation, which needs only signs, runs on integer
-chains too.
+Fraction per value, and find roots from the integer discriminant.
 """
 
 from fractions import Fraction
@@ -32,10 +32,6 @@ def ptrim(coeffs) -> Poly:
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def pdegree(p: Poly) -> int:
-    return len(p) - 1
 
 
 def padd(a: Poly, b: Poly) -> Poly:
@@ -219,41 +215,6 @@ def pgcd(a: Poly, b: Poly) -> Poly:
     return _monic(a)
 
 
-def squarefree_part(a: Poly) -> Poly:
-    """a divided by gcd(a, a'), preserving the root set with simple roots."""
-    a = ptrim(a)
-    if pdegree(a) <= 1:
-        return a
-    g = pgcd(a, pderiv(a))
-    if pdegree(g) == 0:
-        return a
-    return pdivmod(a, g)[0]
-
-
-def sturm_chain(p: Poly) -> list[Poly]:
-    chain = [ptrim(p), pderiv(p)]
-    while chain[-1]:
-        rem = pdivmod(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        chain.append(pneg(rem))
-    return [c for c in chain if c]
-
-
-def _variations(chain: list[Poly], x) -> int:
-    signs = [s for s in (sign_at(c, x) for c in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_roots_open(chain: list[Poly], lo, hi) -> int:
-    """Number of distinct roots in the open interval (lo, hi), p square-free."""
-    # Sturm gives roots in (lo, hi]; subtract hi if it is a root
-    n = _variations(chain, lo) - _variations(chain, hi)
-    if sign_at(chain[0], hi) == 0:
-        n -= 1
-    return n
-
-
 def rational_between(a, b) -> Fraction:
     """Some exact rational strictly inside (a, b); endpoints may be surds."""
     a, b = as_boundary(a), as_boundary(b)
@@ -286,24 +247,6 @@ class ExactRoot:
 
     def __repr__(self):
         return f"ExactRoot({self.point})"
-
-
-class BracketedRoot:
-    """An irrational, non-quadratic root enclosed in [lo, hi] (rationals)."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: Fraction, hi: Fraction):
-        self.lo = lo
-        self.hi = hi
-
-    def __repr__(self):
-        return f"BracketedRoot([{self.lo}, {self.hi}])"
-
-
-Root = ExactRoot | BracketedRoot
-
-DEFAULT_BRACKET_WIDTH = Fraction(1, 10**12)
 
 
 def _quadratic_roots(c: tuple[int, ...], d: int) -> list[BoundaryPoint]:
@@ -355,133 +298,40 @@ def _roots_between(c: tuple[int, ...], d: int, lo: BoundaryPoint, hi: BoundaryPo
     return [r for r, keep in zip(_quadratic_roots(c, d), inside) if keep]
 
 
-def _sign_definite(p, x) -> bool:
-    """x is rational and not a root of p."""
-    x = as_boundary(x)
-    return x.is_rational and sign_at(p, x) != 0
+def roots_in_closed_interval(p: Poly, lo, hi, den: int = 1) -> list[ExactRoot]:
+    """All distinct real roots of p/den in [lo, hi], in ascending order, as
+    exact rationals or quadratic surds.
 
-
-def _refine_bracket(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> Root:
-    """Shrink an isolating interval (simple root, sign change) to width."""
-    s_lo = sign_at(p, lo)
-    while hi - lo > width:
-        mid = rational_between(lo, hi)
-        s_mid = sign_at(p, mid)
-        if s_mid == 0:
-            return ExactRoot(BoundaryPoint.rational(mid))
-        if s_mid == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    return BracketedRoot(lo, hi)
-
-
-def roots_in_closed_interval(
-    p: Poly, lo, hi, bracket_width: Fraction = DEFAULT_BRACKET_WIDTH, den: int = 1
-) -> list[Root]:
-    """All distinct real roots of p/den in [lo, hi], in ascending order.
-
-    Roots of linear/quadratic square-free parts come back exact; higher
-    degree irrational roots come back as BracketedRoot enclosures no wider
-    than bracket_width.  Raises on the zero polynomial.
+    Raises OutOfDomain when p has degree 3 or more: the tables and the mu
+    objectives need no more, and a cubic L2/L4 crossing is bisected by its
+    caller (optimize._crossing).  Raises ValueError on the zero polynomial
+    and on lo > hi.
     """
     c, d = int_form(p, den)
     if not c:
         raise ValueError("zero polynomial has no isolated roots")
+    if len(c) > 3:
+        raise OutOfDomain(f"exact roots need degree <= 2, got degree {len(c) - 1}")
     lo, hi = as_boundary(lo), as_boundary(hi)
     if lo > hi:
         raise ValueError("empty interval")
-    # a quadratic's double root comes back once from _quadratic_roots, so
-    # only higher degrees need the gcd
-    if len(c) <= 3:
-        sf = c
-    else:
-        sf, d = int_form(squarefree_part(tuple(Fraction(x, d) for x in c)))
-    if len(sf) <= 1:
+    if len(c) == 1:
         return []
-    if len(sf) <= 3:
-        return [ExactRoot(b) for b in _roots_between(sf, d, lo, hi)]
-
-    # from here on only signs matter, and a positive scale changes none, so
-    # sf and every Sturm chain element are kept over the integers
-    out: list[Root] = []
-    if sign_at(sf, lo) == 0:
-        out.append(ExactRoot(lo))
-    if lo == hi:
-        return out
-
-    chain = [int_form(c)[0] for c in sturm_chain(sf)]
-    stack = [(lo, hi)]
-    isolated: list[tuple[Fraction, Fraction]] = []
-    exacts: list[BoundaryPoint] = []
-    while stack:
-        a, b = stack.pop()
-        n = count_roots_open(chain, a, b)
-        if n == 0:
-            continue
-        mid = rational_between(a, b)
-        if sign_at(sf, mid) == 0:
-            exacts.append(BoundaryPoint.rational(mid))
-            stack.append((a, mid))
-            stack.append((mid, b))
-            continue
-        if n == 1:
-            # shrink until the endpoints are rational and sign-definite: an end
-            # may be an exact root found above, whose zero sign would send
-            # _refine_bracket toward that end instead of the open root
-            aa, bb = a, b
-            while not (_sign_definite(sf, aa) and _sign_definite(sf, bb)):
-                m2 = rational_between(aa, bb)
-                s2 = sign_at(sf, m2)
-                if s2 == 0:
-                    exacts.append(BoundaryPoint.rational(m2))
-                    aa = None
-                    break
-                if count_roots_open(chain, aa, m2) == 1:
-                    bb = m2
-                else:
-                    aa = m2
-            if aa is not None:
-                isolated.append((as_boundary(aa).as_fraction(), as_boundary(bb).as_fraction()))
-            continue
-        stack.append((a, mid))
-        stack.append((mid, b))
-
-    for a, b in isolated:
-        out.append(_refine_bracket(sf, a, b, bracket_width))
-    for e in exacts:
-        out.append(ExactRoot(e))
-    if sign_at(sf, hi) == 0:
-        out.append(ExactRoot(hi))
-
-    # bracket lo is never itself a root, so the keys are distinct
-    out.sort(key=lambda root: root.point if isinstance(root, ExactRoot) else root.lo)
-    return out
+    return [ExactRoot(b) for b in _roots_between(c, d, lo, hi)]
 
 
-def cut_at_roots(
-    ps, lo, hi, bracket_width: Fraction = DEFAULT_BRACKET_WIDTH
-) -> tuple[list[BoundaryPoint], list[bool], list[BoundaryPoint]]:
+def cut_at_roots(ps, lo, hi) -> tuple[list[BoundaryPoint], list[BoundaryPoint]]:
     """Cut [lo, hi] at the roots of the nonzero polynomials p/den, for the
     pairs (p, den) in ps.
 
-    Returns (cuts, bracketed, exact): cuts are the distinct points lo, ..., hi
-    in ascending order; bracketed[k] tells whether [cuts[k], cuts[k+1]] lies
-    inside the certified bracket of an inexact root, and on every other
-    stretch each polynomial has one nonzero sign; exact lists the exact roots.
-    Of equal points the first one found is kept, lo and hi before the roots.
+    Returns (cuts, exact): cuts are the distinct points lo, ..., hi in
+    ascending order, on every stretch between two of them each polynomial
+    has one nonzero sign, and exact lists the roots.  Of equal points the
+    first one found is kept, lo and hi before the roots.  Raises OutOfDomain
+    when some p has degree 3 or more (see roots_in_closed_interval).
     """
     lo, hi = as_boundary(lo), as_boundary(hi)
-    points, brackets, exact = [lo, hi], [], []
-    for p, den in ps:
-        for root in roots_in_closed_interval(p, lo, hi, bracket_width, den):
-            if isinstance(root, ExactRoot):
-                exact.append(root.point)
-                points.append(root.point)
-            else:
-                brackets.append((as_boundary(root.lo), as_boundary(root.hi)))
-                points += brackets[-1]
-    points.sort()
+    exact = [root.point for p, den in ps for root in roots_in_closed_interval(p, lo, hi, den)]
+    points = sorted([lo, hi] + exact)
     cuts = [x for i, x in enumerate(points) if i == 0 or points[i - 1] < x]
-    bracketed = [any(p <= x and y <= q for p, q in brackets) for x, y in zip(cuts, cuts[1:])]
-    return cuts, bracketed, exact
+    return cuts, exact

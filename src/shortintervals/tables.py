@@ -460,7 +460,8 @@ class TableDiagnostics:
 
 
 def _piece_positive(piece: Piece) -> bool:
-    """Certify value >= 0 on the closed cell (0 allowed for clipped pieces)."""
+    """Certify value >= 0 on the closed cell (0 allowed for clipped pieces).
+    A numerator or denominator of degree 3 or more raises OutOfDomain."""
     rf = piece.rf
     if rf is None:
         return False
@@ -479,7 +480,9 @@ def validate_tables(
     pintz_max_n: int = DEFAULT_PINTZ_MAX_N,
 ) -> TableDiagnostics:
     """Structural report: coverage, breakpoint jumps, positivity,
-    and a sampled check that (1-s) * table(s) is non-increasing."""
+    and a sampled check that (1-s) * table(s) is non-increasing.  The
+    positivity check raises OutOfDomain on a row whose numerator or
+    denominator has degree 3 or more."""
     pw = (a_table if which == "a" else astar_table)(mode, pintz_max_n)
     covers = pw.lo == 0 and pw.sigma_cap == sigma_cap(pintz_max_n)
 

@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
-from shortintervals import cli, mu, tables
+from shortintervals import cli, empirical, mu, tables
 from shortintervals.cli import dispatch, parse_exact
 from shortintervals.errors import ParseError
 
@@ -308,6 +309,31 @@ def test_empirical_moments(capsys):
     assert rc == 0
     rec = json.loads(out)
     assert rec["mean"] > 0 and rec["std_error"] >= 0
+
+
+MOMENTS = ["empirical", "moments", "--X", "100000", "--theta", "0.6", "--k", "1", "--samples"]
+SIEVE = ["empirical", "sieve", "--limit", "1000", "--max-limit"]
+
+
+@pytest.mark.parametrize("argv", [
+    MOMENTS + ["0"],
+    MOMENTS + [str(empirical.MAX_MOMENT_SAMPLES + 1)],
+    SIEVE + ["0"],
+    SIEVE + [str(empirical.DEFAULT_MAX_LIMIT + 1)],
+], ids=["samples-0", "samples-ceiling+1", "max-limit-0", "max-limit-ceiling+1"])
+def test_empirical_guards_outside_their_range_are_domain_errors(capsys, monkeypatch, argv):
+    # rejected before any array is built: the peak stays far below the
+    # 16 MB of a moment sample at the ceiling
+    monkeypatch.delenv("SHORTINTERVALS_ZEROS", raising=False)
+    tracemalloc.start()
+    try:
+        rc = dispatch(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.err.startswith("error:") and not captured.out
+    assert peak < 2 * 1024 * 1024, peak
 
 
 def test_env_var_zeros_path(capsys, tmp_path, monkeypatch):

@@ -327,13 +327,13 @@ def test_compiled_kernels_match_the_generic_construction(mode, theta):
 @pytest.mark.parametrize("mode", [UNC, DH], ids=lambda m: m.value)
 def test_theta_path_builds_no_polynomial_products(monkeypatch, mode):
     # once rows are compiled, a non-empty theta only scales and adds them:
-    # no module on the theta path builds a product or a derivative (root
-    # isolation of a cubic still differentiates inside polys, for its Sturm
-    # chain, and is not counted)
-    thetas = [F(1, 10), F(1, 4), F(2, 5), F(1, 2)]
+    # no module on the theta path, polys included, builds a product or a
+    # derivative; at 4001/9000 the unconditional refined bound bisects a
+    # cubic L2/L4 crossing
+    thetas = [F(1, 10), F(1, 4), F(2, 5), F(4001, 9000), F(1, 2)]
     want = [mu_upper(t, mode, refined=refined) for t in thetas for refined in (True, False)]
     calls = []
-    for module in (optimize, piecewise, mu):
+    for module in (optimize, piecewise, mu, polys):
         for name in ("pmul", "pderiv"):
             if hasattr(module, name):
                 def counting(*args, _f=getattr(module, name), _name=name):

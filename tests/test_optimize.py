@@ -149,16 +149,6 @@ def test_bracketed_crossing_bisected_to_tol():
         assert res.active_index == 0  # s^3 is the smaller one left of the crossing
 
 
-def test_bracketed_critical_point_certified():
-    # -(s^4/4 + s^2/2 - s) peaks where s^3 + s - 1 = 0, a cubic irrational
-    f = rf((0, 1, F(-1, 2), 0, F(-1, 4)))
-    root = mpmath.findroot(lambda x: x**3 + x - 1, 0.68)
-    peak = float(-(root**4 / 4 + root**2 / 2 - root))
-    res = certified_sup([SupCell(F(0), F(1), [f])], F(1, 10**9))
-    assert res.lower <= peak <= res.upper
-    assert res.upper - res.lower <= 1e-9
-
-
 def test_randomized_objectives_against_dense_grid():
     rng = random.Random(101)
     xs = np.linspace(0.0, 1.0, 1_000_001)

