@@ -24,6 +24,7 @@ from shortintervals.polys import (
     _quadratic_roots,
     cut_at_roots,
     int_form,
+    pderiv,
     pdivmod,
     peval,
     pgcd,
@@ -49,6 +50,57 @@ def test_divmod_and_gcd():
 
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+positive = st.fractions(min_value=F(1, 144), max_value=4, max_denominator=144)
+
+
+@st.composite
+def degree_at_most_two_on_interval(draw):
+    """(p, lo, hi): a constant, a linear, a quadratic with two roots
+    (rational or surd) or none, or a perfect square, and a closed interval
+    with rational or surd ends, often wide enough to hold the roots, and
+    sometimes a single point at a rational root."""
+    c, b = draw(small.filter(bool)), draw(small)
+    kind = draw(st.sampled_from(["constant", "linear", "two roots", "no roots", "square"]))
+    roots = []
+    if kind == "constant":
+        p = (c,)
+    elif kind == "linear":
+        p, roots = (-c * b, c), [b]
+    elif kind == "square":
+        p, roots = pmul((c,), pmul((-b, F(1)), (-b, F(1)))), [b]
+    else:
+        # c (s^2 + b s + b^2/4 - e): roots -b/2 +- sqrt(e) for e > 0, none for e < 0
+        k = draw(st.one_of(st.none(), small.filter(bool)))
+        e = draw(positive) if k is None else k * k
+        if kind == "no roots":
+            e = -e
+        elif k is not None:
+            roots = [-b / 2 - k, -b / 2 + k]
+        p = (c * (b * b / 4 - e), c * b, c)
+    if roots and draw(st.booleans()):
+        lo = BoundaryPoint(draw(st.sampled_from(roots)))
+        return p, lo, lo
+    twelfths = st.integers(min_value=-48, max_value=12).map(lambda n: F(n, 12))
+    lo = draw(st.one_of(twelfths.map(BoundaryPoint),
+                        st.builds(BoundaryPoint, twelfths, small.filter(bool),
+                                  st.sampled_from([2, 3, 5, 7]))))
+    return p, lo, lo + F(draw(st.integers(min_value=0, max_value=96)), 12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=degree_at_most_two_on_interval())
+@example(case=(P(3, -8, 4), BoundaryPoint(0), BoundaryPoint(2)))  # roots 1/2, 3/2
+@example(case=(P(-2, 0, 1), BoundaryPoint(-2), BoundaryPoint(0, 1, 2)))  # -sqrt 2, sqrt 2
+@example(case=(P(9, -6, 1), BoundaryPoint(0, 1, 2), BoundaryPoint(3)))  # (s - 3)^2
+def test_quadratic_roots_skip_squarefree_part(case):
+    # without the gcd, degree <= 2 gives the roots the square-free part
+    # p / gcd(p, p') gives
+    p, lo, hi = case
+    sf = pdivmod(p, pgcd(p, pderiv(p)))[0]
+    want = [b for b in (_quadratic_roots(*int_form(sf)) if len(sf) > 1 else []) if lo <= b <= hi]
+    got = roots_in_closed_interval(p, lo, hi)
+    assert all(isinstance(root, ExactRoot) for root in got)
+    assert [(r.point.p, r.point.q, r.point.r) for r in got] == [(b.p, b.q, b.r) for b in want]
 
 
 @st.composite
@@ -113,6 +165,20 @@ def test_roots_at_interval_endpoints_included():
     assert [r.point.as_fraction() for r in roots] == [F(1, 2), F(3, 4)]
     roots = roots_in_closed_interval(a, F(1, 2), F(5, 8))
     assert [r.point.as_fraction() for r in roots] == [F(1, 2)]
+
+
+def test_sturm_count_with_surd_endpoints():
+    a = P(-2, 0, 1)  # roots +-sqrt(2)
+    s2 = BoundaryPoint(0, 1, 2)
+
+    def count_open(lo, hi):
+        return sum(1 for r in roots_in_closed_interval(a, lo, hi) if lo < r.point < hi)
+
+    assert count_open(BoundaryPoint(0), BoundaryPoint(2)) == 1
+    assert count_open(BoundaryPoint(0), s2) == 0  # open interval excludes sqrt(2)
+    assert [r.point for r in roots_in_closed_interval(a, F(0), s2)] == [s2]
+    assert sign_at(a, s2) == 0
+    assert sign_at(a, F(1)) == -1
 
 
 def test_rational_between_surds():
