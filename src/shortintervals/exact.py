@@ -133,8 +133,9 @@ class BoundaryPoint:
     differ.  A float enclosure with a proven error bound decides the order
     only when the two enclosures are clearly apart; otherwise the sign is
     decided in rational arithmetic.  Arithmetic is closed within a single
-    field Q(sqrt(r)); combining two distinct surds raises ``MixedSurds``,
-    which the tables never require.
+    field Q(sqrt(r)), also when the two operands write it with radicands
+    whose product is a square; combining surds of two distinct fields raises
+    ``MixedSurds``, which the tables never require.
     """
 
     __slots__ = ("p", "q", "r", "_f", "_e")
@@ -283,24 +284,29 @@ class BoundaryPoint:
 
     # -- field arithmetic (single surd) ---------------------------------
 
-    def _coerce(self, other) -> "tuple[BoundaryPoint, int] | None":
-        """Return (other, common r) if arithmetic is possible, else None."""
+    def _coerce(self, other) -> "tuple[Fraction, Fraction, int] | None":
+        """(p, q, r) with other = p + q*sqrt(r) over the common radicand r, or
+        None when other is not a number.  A surd over another radicand r'
+        shares self's field when r*r' = k^2: then sqrt(r') = (k/r)*sqrt(r)."""
         if isinstance(other, (int, Fraction)):
-            other = BoundaryPoint.rational(other)
+            return Fraction(other), Fraction(0), self.r
         if not isinstance(other, BoundaryPoint):
             return None
-        if self.q != 0 and other.q != 0 and self.r != other.r:
+        if self.q == 0 or other.q == 0 or self.r == other.r:
+            return other.p, other.q, (self.r if self.q != 0 else other.r)
+        k = isqrt(self.r * other.r)
+        if k * k != self.r * other.r:
             raise MixedSurds(
                 f"arithmetic across distinct surds sqrt({self.r}), sqrt({other.r})"
             )
-        return other, (self.r if self.q != 0 else other.r)
+        return other.p, other.q * k / self.r, self.r
 
     def __add__(self, other):
         co = self._coerce(other)
         if co is None:
             return NotImplemented
-        other, r = co
-        return BoundaryPoint(self.p + other.p, self.q + other.q, r)
+        p, q, r = co
+        return BoundaryPoint(self.p + p, self.q + q, r)
 
     __radd__ = __add__
 
@@ -311,8 +317,8 @@ class BoundaryPoint:
         co = self._coerce(other)
         if co is None:
             return NotImplemented
-        other, r = co
-        return BoundaryPoint(self.p - other.p, self.q - other.q, r)
+        p, q, r = co
+        return BoundaryPoint(self.p - p, self.q - q, r)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -321,12 +327,8 @@ class BoundaryPoint:
         co = self._coerce(other)
         if co is None:
             return NotImplemented
-        other, r = co
-        return BoundaryPoint(
-            self.p * other.p + self.q * other.q * r,
-            self.p * other.q + self.q * other.p,
-            r,
-        )
+        p, q, r = co
+        return BoundaryPoint(self.p * p + self.q * q * r, self.p * q + self.q * p, r)
 
     __rmul__ = __mul__
 
@@ -341,11 +343,9 @@ class BoundaryPoint:
         return BoundaryPoint(self.p / norm, -self.q / norm, self.r)
 
     def __truediv__(self, other):
-        co = self._coerce(other)
-        if co is None:
+        if self._coerce(other) is None:
             return NotImplemented
-        other, _ = co
-        return self * other.inverse()
+        return self * as_boundary(other).inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other

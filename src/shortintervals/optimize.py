@@ -11,9 +11,11 @@ crossing of a non-decreasing and a non-increasing objective.  Cuts and
 crossings of degree at most 2 are rational or quadratic and evaluated
 exactly.  A crossing polynomial of higher degree changes sign once in its
 stretch, so it is bisected on that sign until the value it bounds is
-attained within tol/4.  Denominators and critical-point polynomials of
-degree 3 or more raise OutOfDomain (polys.roots_in_closed_interval).  The
-returned bracket [lower, upper] always contains the true supremum.
+attained within tol/4; while both ends are floats, the sign steps run in
+floats and integers, on the midpoints that the rational steps would take.
+Denominators and critical-point polynomials of degree 3 or more raise
+OutOfDomain (polys.roots_in_closed_interval).  The returned bracket
+[lower, upper] always contains the true supremum.
 """
 
 from fractions import Fraction
@@ -30,6 +32,7 @@ from .polys import pderiv, pmul, psub, sign_at
 # ends, so a crossing of degree 3 or more is narrowed on signs alone to this
 # width before the values at its ends are compared
 _WIDTH = Fraction(1, 10**12)
+_WIDTH_F = float(_WIDTH)
 
 
 class SupCell:
@@ -110,6 +113,42 @@ def _point(x: BoundaryPoint):
     return x.as_fraction() if x.is_rational else x
 
 
+def _exact_float(v) -> float | None:
+    """v as a float when v is a Fraction that a float holds exactly."""
+    if type(v) is Fraction:
+        try:
+            f = float(v)
+        except OverflowError:
+            return None
+        if f.as_integer_ratio() == (v.numerator, v.denominator):
+            return f
+    return None
+
+
+def _float_bisect(diff, s_p: int, fp: float, fq: float):
+    """Bisect [fp, fq] on the sign of diff, with s_p its sign at fp, at the
+    float midpoints that polys.rational_between picks, until the ends are
+    _WIDTH apart or no float lies between them.  Returns (fp, fq, hit), hit
+    the midpoint where diff vanishes, if any.
+
+    fq - fp and _WIDTH_F are the correctly rounded width and _WIDTH, so
+    they are ordered as the exact values are unless they are equal."""
+    while True:
+        w = fq - fp
+        if w < _WIDTH_F or w == _WIDTH_F and Fraction(fq) - Fraction(fp) <= _WIDTH:
+            return fp, fq, None
+        fm = 0.5 * (fp + fq)
+        if not fp < fm < fq:
+            return fp, fq, None
+        v = polys.hom_eval(diff, *fm.as_integer_ratio())
+        if v == 0:
+            return fp, fq, fm
+        if (v > 0) - (v < 0) == s_p:
+            fp = fm
+        else:
+            fq = fm
+
+
 def _crossing(cell, up, dn, i, j, x, y, tol, found, bounds):
     """Candidate at the crossing of up-objective i and down-objective j in (x, y)."""
     objectives = cell.objectives
@@ -126,6 +165,16 @@ def _crossing(cell, up, dn, i, j, x, y, tol, found, bounds):
     p, q = _point(x), _point(y)
     s_p = sign_at(diff, p)
     while not (type(p) is type(q) is Fraction and q - p <= _WIDTH):
+        fp, fq = _exact_float(p), _exact_float(q)
+        if fp is not None and fq is not None:
+            fp, fq, hit = _float_bisect(diff, s_p, fp, fq)
+            if hit is not None:
+                m = Fraction(hit)
+                found.append((*_argmin([rf.eval_exact(m) for rf in objectives]), m))
+                return
+            p, q = Fraction(fp), Fraction(fq)
+            if q - p <= _WIDTH:
+                break
         m = polys.rational_between(p, q)
         s_m = sign_at(diff, m)
         if s_m == 0:

@@ -9,6 +9,7 @@ majorant of whatever the individual rows bound.
 
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import takewhile
 from math import inf
 
 from . import polys
@@ -136,7 +137,7 @@ def _exact_max(values):
 class PiecewiseBound:
     """Ordered, exactly-abutting pieces covering [0, sigma_cap)."""
 
-    __slots__ = ("pieces", "_los", "_maxima", "_int_rows")
+    __slots__ = ("pieces", "_los", "_maxima", "_minima", "_by_max", "_int_rows")
 
     def __init__(self, pieces):
         pieces = tuple(pieces)
@@ -148,6 +149,8 @@ class PiecewiseBound:
         self.pieces = pieces
         self._los = [p.lo for p in pieces]
         self._maxima: dict[int, Fraction | None] = {}
+        self._minima: dict[int, Fraction | None] = {}
+        self._by_max: list[tuple[float, int]] | None = None
         self._int_rows: dict[int, tuple] = {}
 
     @property
@@ -183,6 +186,26 @@ class PiecewiseBound:
             self._maxima[k] = None if p.rf is None else Fraction(
                 certified_sup([SupCell(p.lo, p.hi, [p.rf])], _MAX_TOL).upper)
         return self._maxima[k]
+
+    def piece_min(self, k: int) -> Fraction | None:
+        """A lower bound, within 1e-9, on piece k's formula over its closed
+        cell (None for -inf), computed once: -upper of piece_max's one-cell
+        certified_sup run on the negated formula, so a float's Fraction as
+        piece_max is; it raises as piece_max does."""
+        if k not in self._minima:
+            p = self.pieces[k]
+            self._minima[k] = None if p.rf is None else -Fraction(certified_sup(
+                [SupCell(p.lo, p.hi, [RationalFunction(polys.pneg(p.rf.num), p.rf.den)])],
+                _MAX_TOL).upper)
+        return self._minima[k]
+
+    def by_descending_max(self) -> list[tuple[float, int]]:
+        """(piece_max(k) as a float, which is exact, k) for every piece but
+        the -inf ones, by descending maximum; computed once."""
+        if self._by_max is None:
+            tops = ((self.piece_max(k), k) for k in range(len(self.pieces)))
+            self._by_max = sorted(((float(t), k) for t, k in tops if t is not None), reverse=True)
+        return self._by_max
 
     def int_row(self, k: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
         """(P, Q, m) with integer P and Q: piece k's formula is (P/m)/(Q/m),
@@ -285,51 +308,89 @@ def pointwise_min(a: PiecewiseBound, b: PiecewiseBound) -> PiecewiseBound:
     return PiecewiseBound(out)
 
 
+def _at_least(x: float, c: Fraction, cf: float | None) -> bool:
+    """x >= c for a float x, where cf = float(c), or None when c is out of
+    float range.  Rounding to the nearest float is monotone and leaves x
+    as it is, so x and cf are ordered as x and c are unless they are equal;
+    then, or without cf, the comparison is exact."""
+    if cf is None or x == cf:
+        return Fraction(x) >= c
+    return x > cf
+
+
+def _crossing_parts(pw: PiecewiseBound, k: int, n: int, d: int):
+    """Piece k's part of the level set rf >= c = n/d, in ascending order:
+    (lo, hi, start, stop) for each point where rf = c and each stretch
+    where rf > c, with start and stop the positions of lo and hi (see
+    feasible_region)."""
+    piece = pw.pieces[k]
+    # rf - c = (d*P - n*Q)/(d*Q) for the row's integer P/Q and c = n/d
+    p, q, m = pw.int_row(k)
+    diff = polys.lincomb(d, p, -n, q)
+    if not diff:
+        yield piece.lo, piece.hi, 4 * k, 4 * k + 4
+        return
+    cuts, _ = polys.cut_at_roots([(diff, d * m)], piece.lo, piece.hi)
+    last = len(cuts) - 1
+    at = [4 * k + i for i in range(last)] + [4 * k + 4]
+    signs = [polys.sign_at(diff, cuts[0])] + [0] * (last - 1) + [polys.sign_at(diff, cuts[-1])]
+    # Q has one sign on the piece: piece_max(k) has ruled out a pole
+    q_sign = polys.sign_at(q, piece.lo)
+    for i, x in enumerate(cuts):
+        if signs[i] == 0:
+            yield x, x, at[i], at[i]
+        # d*P - n*Q has one sign on the stretch, read at an end where it does
+        # not vanish, or inside; rf > c there iff its product with Q's is > 0
+        if i < last and (signs[i] or signs[i + 1] or polys.sign_at(
+                diff, rational_between(x, cuts[i + 1]))) * q_sign > 0:
+            yield x, cuts[i + 1], at[i], at[i + 1]
+
+
 def feasible_region(pw: PiecewiseBound, c: Fraction) -> list[tuple[BoundaryPoint, BoundaryPoint]]:
     """Maximal closed intervals where the regularized bound is >= c.
 
-    Each piece is solved on its closed cell [lo, hi]; since regularization
+    Each piece counts on its closed cell [lo, hi]; since regularization
     takes the max of adjacent pieces at breakpoints, the union over closed
-    cells is exactly the upper level set.  Pieces whose maximum is below c
-    are skipped unsolved.  Endpoints are exact: each crossing of a row with
-    c is rational or quadratic.  A piece that is solved or bounded raises
-    OutOfDomain when its crossing with c, its denominator or its
-    critical-point polynomial has degree 3 or more
-    (polys.roots_in_closed_interval), and DenominatorVanishes when it has a
-    pole (piece_max).
+    cells is exactly the upper level set.  Pieces are taken by descending
+    piece_max until one is below c; of those, a piece whose piece_min
+    reaches c is feasible whole and is not solved, and only the rest are
+    cut at their crossings with c, which are exact (rational or
+    quadratic).  Both bounds are exact floats, so they are compared with c
+    in floats, and exactly only on a tie.
+
+    Parts are emitted in piece order, each with positions for its ends:
+    4k and 4k + 4 for piece k's lo and hi, 4k + i for its i-th crossing
+    inside.  Two parts touch iff one ends where the next starts, so runs
+    merge without sorting or comparing breakpoints.
+
+    Every piece raises DenominatorVanishes when it has a pole, and
+    OutOfDomain when its denominator or critical-point polynomial has
+    degree 3 or more (piece_max); a solved piece also raises OutOfDomain
+    when its crossing with c has degree 3 or more
+    (polys.roots_in_closed_interval).
     """
     c = Fraction(c)
-    n, d = c.numerator, c.denominator
-    intervals: list[tuple[BoundaryPoint, BoundaryPoint]] = []
-    for k, piece in enumerate(pw.pieces):
-        top = pw.piece_max(k)
-        if top is None or top < c:
-            continue
-        # rf - c = (d*P - n*Q)/(d*Q) for the row's integer P/Q and c = n/d
-        p, q, m = pw.int_row(k)
-        diff = polys.lincomb(d, p, -n, q)
-        if not diff:
-            intervals.append((piece.lo, piece.hi))
-            continue
-        cuts, exact = polys.cut_at_roots([(diff, d * m)], piece.lo, piece.hi)
-        # equality points are feasible on their own, possibly isolated
-        intervals += [(x, x) for x in exact]
-        for x, y in zip(cuts, cuts[1:]):
-            # d*P - n*Q has one sign on the stretch, read at an end where it
-            # does not vanish (or inside), and Q has one sign on the piece
-            # (piece_max(k) has ruled out a pole), so rf > c there iff their
-            # product is > 0
-            if (polys.sign_at(diff, x) or polys.sign_at(diff, y) or polys.sign_at(
-                    diff, rational_between(x, y))) * polys.sign_at(q, x) > 0:
-                intervals.append((x, y))
-
-    intervals.sort()
+    try:
+        cf = float(c)
+    except OverflowError:
+        cf = None
+    above = sorted(k for _, k in takewhile(lambda e: _at_least(e[0], c, cf),
+                                           pw.by_descending_max()))
     merged: list[tuple[BoundaryPoint, BoundaryPoint]] = []
-    for lo, hi in intervals:
-        if merged and not merged[-1][1] < lo:
-            plo, phi = merged[-1]
-            merged[-1] = (plo, hi if hi > phi else phi)
+    end = None
+    for k in above:
+        piece = pw.pieces[k]
+        if _at_least(float(pw.piece_min(k)), c, cf):
+            parts = [(piece.lo, piece.hi, 4 * k, 4 * k + 4)]
         else:
-            merged.append((lo, hi))
+            parts = _crossing_parts(pw, k, c.numerator, c.denominator)
+        for lo, hi, start, stop in parts:
+            if start != end:
+                merged.append((lo, hi))
+            elif start != stop:  # a stretch extends the run; a point adds nothing
+                merged[-1] = (merged[-1][0], hi)
+            end = stop
     # the domain is half-open at sigma_cap
-    return [iv for iv in merged if iv[0] < pw.sigma_cap]
+    if merged and not merged[-1][0] < pw.sigma_cap:
+        merged.pop()
+    return merged

@@ -157,12 +157,29 @@ def test_field_arithmetic_matches_mpmath():
 
 
 def test_distinct_surd_arithmetic_is_a_package_error():
+    # Q(sqrt 30603) = Q(sqrt 3) and Q(sqrt 5) are distinct fields
+    a = BoundaryPoint(0, 1, 3 * 101**2 * 2**30)
+    for b in (BoundaryPoint(0, 2**15 * 101, 5), BoundaryPoint(1, 1, 2)):
+        for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b):
+            with pytest.raises(MixedSurds) as info:
+                op()
+            assert isinstance(info.value, ShortIntervalsError)
+
+
+def test_one_field_under_two_radicands():
+    # the cheap square-free pass above 10^8 keeps a = 32768*sqrt(30603),
+    # while b = 3309568*sqrt(3) has the same value; 30603 * 3 = 303^2, so
+    # both lie in one field and combine
     a = BoundaryPoint(0, 1, 3 * 101**2 * 2**30)
     b = BoundaryPoint(0, 2**15 * 101, 3)
-    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b):
-        with pytest.raises(MixedSurds) as info:
-            op()
-        assert isinstance(info.value, ShortIntervalsError)
+    assert (a.r, b.r) == (30603, 3) and a == b
+    assert a + b == 2 * a and b + a == 2 * a
+    assert a - b == 0 and b - a == 0
+    assert a * b == 3 * 2**30 * 101**2 and a / b == 1
+    c = BoundaryPoint(F(1, 7), F(-2, 5), 3)
+    for got, want in ((a + c, mp_value(a) + mp_value(c)), (c - a, mp_value(c) - mp_value(a)),
+                      (a * c, mp_value(a) * mp_value(c)), (c / a, mp_value(c) / mp_value(a))):
+        assert abs(mp_value(got) - want) < mpmath.mpf("1e-40") * abs(want)
 
 
 def test_float_directed_rounding():

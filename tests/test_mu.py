@@ -96,6 +96,14 @@ def test_mu_empty_beyond_17_30():
     assert r.witness_sigma is None
 
 
+@pytest.mark.parametrize("mode", list(HypothesisMode))
+def test_mu_empty_when_threshold_leaves_float_range(mode):
+    # c = 1/(1 - theta) = 10^400 has no float: the region is decided exactly
+    for refined in (True, False):
+        r = mu_upper(1 - F(1, 10**400), mode, refined=refined)
+        assert r.is_empty and r.upper == -inf and r.active == "EMPTY"
+
+
 def test_mu_rh_exact():
     r = mu_upper(F(3, 10), RH, tol=F(1, 10**13))
     assert abs(r.upper - 0.7) <= 1e-12

@@ -10,7 +10,9 @@ import mpmath
 import numpy as np
 import pytest
 
+from shortintervals import optimize, polys
 from shortintervals.errors import DenominatorVanishes, NonConvergence
+from shortintervals.mu import mu_upper
 from shortintervals.optimize import SupCell, certified_sup
 from shortintervals.piecewise import RationalFunction
 
@@ -147,6 +149,82 @@ def test_bracketed_crossing_bisected_to_tol():
         assert res.upper - res.lower <= float(tol)
         assert isinstance(res.witness, F) and abs(float(res.witness) - float(root)) < 1e-12
         assert res.active_index == 0  # s^3 is the smaller one left of the crossing
+
+
+def _crossing_by_rationals(cell, up, dn, i, j, x, y, tol, found, bounds):
+    """optimize._crossing with every sign step taken by rational_between and
+    sign_at, as before float midpoints were bisected in floats."""
+    objectives = cell.objectives
+    diff, den = cell.crossing(i, j)
+    if len(diff) <= 3:
+        root = polys.roots_in_closed_interval(diff, x, y, den)[0]
+        t = optimize._point(root.point)
+        found.append((*optimize._argmin([rf.eval_exact(t) for rf in objectives]), t))
+        return
+    p, q = optimize._point(x), optimize._point(y)
+    s_p = polys.sign_at(diff, p)
+    while not (type(p) is type(q) is F and q - p <= optimize._WIDTH):
+        m = polys.rational_between(p, q)
+        s_m = polys.sign_at(diff, m)
+        if s_m == 0:
+            found.append((*optimize._argmin([rf.eval_exact(m) for rf in objectives]), m))
+            return
+        p, q = (m, q) if s_m == s_p else (p, m)
+    while True:
+        vp = [rf.eval_exact(p) for rf in objectives]
+        vq = [rf.eval_exact(q) for rf in objectives]
+        high = min([vq[u] for u in up] + [vp[d] for d in dn])
+        low, k = optimize._argmin(vp)
+        if high - low <= tol / 4:
+            found.append((low, k, p))
+            bounds.append(high)
+            return
+        if float(p) == float(q):
+            raise NonConvergence("tol is below the float resolution")
+        m = (p + q) / 2
+        p, q = (m, q) if polys.sign_at(diff, m) == s_p else (p, m)
+
+
+def _replayed(monkeypatch, run):
+    """run() with the float bisection and with the rational one, and how
+    often the float bisection stepped."""
+    steps = []
+    bisect = optimize._float_bisect
+
+    def counting(*args):
+        out = bisect(*args)
+        steps.append(out)
+        return out
+
+    monkeypatch.setattr(optimize, "_float_bisect", counting)
+    got = run()
+    monkeypatch.setattr(optimize, "_crossing", _crossing_by_rationals)
+    return got, run(), steps
+
+
+def _same_result(got, want):
+    assert (got.upper, got.lower, got.active_index) == (want.upper, want.lower, want.active_index)
+    assert type(got.witness) is type(want.witness) and got.witness == want.witness
+
+
+@pytest.mark.parametrize("tol", [F(1, 10**9), F(1, 10**15)])
+def test_float_bisection_replays_rational_steps(monkeypatch, tol):
+    # the float midpoints are the ones rational_between picks, so the
+    # witness and the bracket are those of the rational bisection
+    cell = SupCell(F(0), F(1), [rf((0, 0, 0, 1)), rf((1, -1))])
+    got, want, steps = _replayed(monkeypatch, lambda: certified_sup([cell], tol))
+    assert steps
+    _same_result(got, want)
+
+
+def test_float_bisection_replays_rational_steps_on_mu(monkeypatch):
+    # the unconditional bound at theta = 9/20 bisects a cubic L2/L4 crossing
+    # (under the Lindelof hypothesis that crossing is quadratic)
+    got, want, steps = _replayed(monkeypatch, lambda: mu_upper(F(9, 20)))
+    assert steps
+    assert (got.upper, got.lower, got.active) == (want.upper, want.lower, want.active)
+    assert type(got.witness_exact) is type(want.witness_exact)
+    assert got.witness_exact == want.witness_exact
 
 
 def test_randomized_objectives_against_dense_grid():

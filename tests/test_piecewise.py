@@ -239,6 +239,119 @@ def test_feasible_region_exact_in_all_modes(case, units):
         assert inside == (table.evaluate_upper(s) >= c), (mode, c, s)
 
 
+def _region_by_scan(pw, c):
+    """The region as every piece's own solve gives it: each piece whose
+    maximum reaches c is cut at its crossings with c, and all parts are
+    sorted and merged by exact comparison."""
+    c = F(c)
+    n, d = c.numerator, c.denominator
+    intervals = []
+    for k, piece in enumerate(pw.pieces):
+        top = pw.piece_max(k)
+        if top is None or top < c:
+            continue
+        p, q, m = pw.int_row(k)
+        diff = polys.lincomb(d, p, -n, q)
+        if not diff:
+            intervals.append((piece.lo, piece.hi))
+            continue
+        cuts, exact = polys.cut_at_roots([(diff, d * m)], piece.lo, piece.hi)
+        intervals += [(x, x) for x in exact]
+        for x, y in zip(cuts, cuts[1:]):
+            if (polys.sign_at(diff, x) or polys.sign_at(diff, y) or polys.sign_at(
+                    diff, polys.rational_between(x, y))) * polys.sign_at(q, x) > 0:
+                intervals.append((x, y))
+    intervals.sort()
+    merged = []
+    for lo, hi in intervals:
+        if merged and not merged[-1][1] < lo:
+            plo, phi = merged[-1]
+            merged[-1] = (plo, hi if hi > phi else phi)
+        else:
+            merged.append((lo, hi))
+    return [iv for iv in merged if iv[0] < pw.sigma_cap]
+
+
+def _forms(region):
+    return [(x.p, x.q, x.r) for iv in region for x in iv]
+
+
+def _assert_same_region(table, c):
+    got, want = feasible_region(table, c), _region_by_scan(table, c)
+    assert got == want, c
+    assert _forms(got) == _forms(want), c
+
+
+def _bound_levels(table):
+    """Every piece maximum and minimum of the table: float ties with c."""
+    ks = [k for k, p in enumerate(table.pieces) if p.rf is not None]
+    return {table.piece_max(k) for k in ks} | {table.piece_min(k) for k in ks}
+
+
+BOTH_TABLES = [(mode, build) for mode in HypothesisMode for build in (a_table, astar_table)]
+
+
+@pytest.mark.parametrize("mode,build", BOTH_TABLES)
+def test_feasible_region_matches_scan_at_piece_bounds(mode, build):
+    # thresholds equal to a piece's maximum or minimum are the ties that the
+    # float comparisons hand to exact arithmetic; 30/13 and 2 touch the
+    # tables at single points, and 10^400 is out of float range
+    table = build(mode)
+    levels = _bound_levels(table) | set(END_VALUES[mode]) | {F(30, 13), F(2), F(0)}
+    levels |= {F(10**400), -F(10**400), F(1, 10**400)}
+    for c in sorted(levels):
+        _assert_same_region(table, c)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=mode_and_level(), which=st.sampled_from([a_table, astar_table]))
+def test_feasible_region_matches_scan(case, which):
+    mode, c = case
+    _assert_same_region(which(mode), c)
+
+
+def test_feasible_region_solves_only_pieces_crossing_c(monkeypatch):
+    # a piece whose minimum reaches c is taken whole and one whose maximum
+    # is below c is skipped: only pieces with min < c <= max are solved
+    table = a_table(UNC)
+    feasible_region(table, F(0))  # compute every piece's bounds
+    calls = []
+    isolate = polys.roots_in_closed_interval
+
+    def counting(p, lo, hi, den=1):
+        calls.append((lo, hi))
+        return isolate(p, lo, hi, den)
+
+    monkeypatch.setattr(polys, "roots_in_closed_interval", counting)
+    assert feasible_region(table, F(0)) == [(0, table.sigma_cap)]
+    assert not calls
+    for c in (F(2), F(15, 13), F(30, 13)):
+        calls.clear()
+        feasible_region(table, c)
+        crossing = [(p.lo, p.hi) for k, p in enumerate(table.pieces)
+                    if table.piece_min(k) < c <= table.piece_max(k)]
+        assert calls == crossing, c
+
+
+@pytest.mark.parametrize("mode,build", BOTH_TABLES)
+def test_piece_min_is_below_every_value(mode, build):
+    # piece_min(k) <= rf(s) <= piece_max(k) at exact s across each closed
+    # cell, surd ends included
+    table = build(mode)
+    for k, piece in enumerate(table.pieces):
+        if piece.rf is None:
+            assert table.piece_min(k) is None
+            continue
+        lo_f, hi_f = piece.lo.enclose_fraction(64)[1], piece.hi.enclose_fraction(64)[0]
+        samples = [piece.lo, piece.hi]
+        samples += [lo_f + (hi_f - lo_f) * F(j, 16) for j in range(1, 16)]
+        low, top = table.piece_min(k), table.piece_max(k)
+        assert low == F(float(low)) and low <= top
+        for s in samples:
+            v = piece.rf.eval_exact(s)
+            assert low <= v <= top, (mode, k, s)
+
+
 POLE_AT_HALF = PiecewiseBound([Piece(F(0), F(1), rf((1,), (F(-1, 2), 1)), "pole")])
 POLE_AT_THIRD = PiecewiseBound([Piece(F(0), F(1), rf((1,), (F(-1, 3), 1)), "pole")])
 
