@@ -12,12 +12,17 @@ exactly; on each cell the supremum is taken over exact candidate points
 cubic crossings bisected to the tolerance.  Dropping the second
 (fourth-moment) term gives the weaker second-moment-only variant.
 
-Theta enters only through 1-t.  Each table row is compiled once, on first
-use, into integer polynomials (_Row), and a theta = a/b builds every
+Theta enters only through u = 1-t.  Each table row is compiled once, on
+first use, into integer polynomials (_Row), and a theta = a/b builds every
 polynomial it needs, objectives, critical points and crossings, as
 (b-a)X + b*Y from them (_Moment, _MuCell): one scale and one add each,
 and only for a cell that optimize.certified_sup evaluates.  The rest are
-ruled out by their bounds, which are outward-rounded floats.
+ruled out by their bounds.  A row's objective is affine in u at each
+sigma, so its maximum over a merged interval is convex in u, and on
+[k/K, (k+1)/K] it lies below the chord through upper bounds at the ends:
+knots, each the certified maximum at one u = k/K, cached per row and
+filled only as thetas need them (_Row.knot).  A cell's bound is that
+chord at its theta, in outward-rounded floats.
 """
 
 from bisect import bisect_left, bisect_right
@@ -25,8 +30,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import inf, nextafter
 
+from . import optimize
 from .errors import DomainMismatch, OutOfDomain
-from .exact import BoundaryPoint, as_boundary, float_up
+from .exact import BoundaryPoint, as_boundary, float_down, float_up
 from .optimize import SupCell, SupResult, certified_sup
 from .piecewise import PiecewiseBound, RationalFunction, _merged_cells, feasible_region
 from .polys import (
@@ -35,6 +41,8 @@ from .polys import (
 from .tables import DEFAULT_PINTZ_MAX_N, HypothesisMode, a_table, astar_table
 
 DEFAULT_TOL = Fraction(1, 10**9)
+# knots of the cell bounds lie at u = 1-t = k/K for k = 0..K
+K = 8
 # a curve holds one exact rational per grid point; the ceiling keeps its
 # memory bounded for every value the CLI admits
 MAX_CURVE_STEPS = 100_000
@@ -87,10 +95,6 @@ def _up(x: float) -> float:
     return nextafter(x, inf)
 
 
-def _down(x: float) -> float:
-    return nextafter(x, -inf)
-
-
 def _ints(p: Poly) -> tuple[int, ...]:
     """An integral polynomial's coefficients as ints."""
     return tuple(map(int, p))
@@ -98,7 +102,7 @@ def _ints(p: Poly) -> tuple[int, ...]:
 
 class _Row:
     """A covering piece's row, compiled once for the per-theta kernels, and
-    the piece's maximum.
+    the knots of its cell bounds.
 
     G/H = (1-s)P/Q in lowest terms, written over the integers: times the
     common denominator `scale` of its coefficients and not divided by their
@@ -110,16 +114,29 @@ class _Row:
     W = G'H - GH': a theta only scales and adds these.
     """
 
-    __slots__ = ("m", "g", "h", "y", "w", "mh2", "scale", "top", "_crossings")
+    __slots__ = ("m", "g", "h", "y", "w", "mh2", "scale", "_crossings", "_knots")
 
-    def __init__(self, rf: RationalFunction, top: Fraction, m: int):
+    def __init__(self, rf: RationalFunction, m: int):
         (g, h), self.scale = common_ints(*_scaled_row(rf))
-        # exact for piece_max, which is a float's Fraction
-        self.m, self.g, self.h, self.top = m, g, h, float_up(top)
+        self.m, self.g, self.h = m, g, h
         self.y = _ints(pmul((1 - m, m), h))
         self.w = _ints(psub(pmul(pderiv(g), h), pmul(g, pderiv(h))))
         self.mh2 = _ints(pscale(pmul(h, h), m))
         self._crossings: dict[_Row, tuple] = {}
+        self._knots: dict[tuple[int, int], float] = {}
+
+    def knot(self, j: int, k: int, lo: BoundaryPoint, hi: BoundaryPoint) -> float:
+        """U_k, a float upper bound on the objective's maximum over the merged
+        interval j = [lo, hi] at u = 1-t = k/K, computed once: the upper end
+        of a one-objective certified_sup at theta = (K-k)/K (at u = 0 the
+        objective is m*s - (m-1), and U_0 is m*hi - (m-1) rounded up).  It
+        is called through the optimize module, so a knot counts as the
+        objective_cells work that it is."""
+        if (j, k) not in self._knots:
+            theta = Fraction(K - k, K)
+            cell = _MuCell(lo, hi, (_Moment(self, theta.numerator, theta.denominator),))
+            self._knots[j, k] = optimize.certified_sup([cell], DEFAULT_TOL).upper
+        return self._knots[j, k]
 
     def crossing_kernel(self, star: "_Row") -> tuple:
         """(X, Y, scale) for this second-moment row G/H and the
@@ -138,39 +155,11 @@ class _Moment:
     num/den = ((b-a)G + b*Y)/(b*H) (see _Row), built on first use: most
     cells are skipped by their bound and never evaluated."""
 
-    __slots__ = ("row", "a", "b", "top", "_quotient", "_critical")
+    __slots__ = ("row", "a", "b", "_quotient", "_critical")
 
     def __init__(self, row: _Row, a: int, b: int):
         self.row, self.a, self.b = row, a, b
-        # a float upper bound on (1-t) times the piece's maximum; (b-a)/b is
-        # the correctly rounded 1-t, and one step out bounds it on either side
-        u = (b - a) / b
-        self.top = _up(row.top * (_up(u) if row.top >= 0 else _down(u)))
         self._quotient = self._critical = None
-
-    def bound(self, x_lo: float, y_hi: float) -> float:
-        """Upper bound on the objective (1-t)(1-s)A(s) + m*s - (m-1) over a
-        cell [x, y] of the piece, given floats x_lo <= x and y_hi >= y.
-
-        On the piece A(s) <= row.top, and on the cell 0 <= 1-y <= 1-s <=
-        1-x.  self.top = T >= (1-t)*row.top: for row.top >= 0 it multiplies
-        by 1-t rounded up, for row.top < 0 by 1-t rounded down.  As 1-s >= 0,
-        (1-t)(1-s)A(s) <= T(1-s), and
-          - if T > 0: T(1-s) <= T(1-x) <= T*w for w = 1 - x_lo rounded up;
-          - if T <= 0 (row.top < 0, or a tiny product): T(1-s) <= T(1-y) <=
-            T*w for any w <= 1-y, such as w = max(1 - y_hi rounded down, 0).
-        Also m*s - (m-1) <= m*y_hi - (m-1).  Each float operation rounds to
-        nearest, so stepping its result one float up (_up) or down (_down)
-        puts it on the safe side of the exact value, and the sum of the
-        two parts, rounded up, bounds the objective.  Only float operations
-        and comparisons are involved, so the bound holds under python -O.
-        An infinite end (a cell end out of float range) gives an infinite
-        bound, never a nan: T*w is finite for T <= 0 and w finite >= 0.
-        """
-        m, t = self.row.m, self.top
-        tail = _up(_up(m * y_hi) - (m - 1))
-        w = _up(1.0 - x_lo) if t > 0 else max(_down(1.0 - y_hi), 0.0)
-        return _up(_up(t * w) + tail)
 
     def quotient(self) -> tuple:
         """(num, den), built on first use."""
@@ -196,7 +185,7 @@ class _Moment:
 class _MuCell(SupCell):
     """A cell of the mu objective, whose kernels are its rows' compiled ones.
     It needs no pole check: H is its row's own denominator, and the row's
-    piece_max has ruled out a pole on the whole closed piece."""
+    piece_max has ruled out a pole on the whole closed piece (_PieceIndex)."""
 
     __slots__ = ()
 
@@ -221,10 +210,11 @@ class _PieceIndex:
         self.rows: dict[int, _Row | None] = {}
 
     def row(self, k: int) -> _Row | None:
-        """The row of piece k (None for -inf)."""
+        """The row of piece k (None for -inf).  piece_max raises on a pole
+        in the closed piece, so no _MuCell of the row can hold one."""
         if k not in self.rows:
             rf = self.pw.pieces[k].rf
-            self.rows[k] = None if rf is None else _Row(rf, self.pw.piece_max(k), self.m)
+            self.rows[k] = None if self.pw.piece_max(k) is None else _Row(rf, self.m)
         return self.rows[k]
 
     def covering(self, x, y) -> list[_Row | None]:
@@ -234,13 +224,6 @@ class _PieceIndex:
         if not out:
             raise DomainMismatch(f"no table row covers [{x}, {y}]")
         return out
-
-
-def _cell_bound(x: BoundaryPoint, y: BoundaryPoint, objectives) -> float:
-    """A float upper bound on min(objectives) over the cell [x, y], from
-    the cell ends' float enclosures (see _Moment.bound)."""
-    x_lo, y_hi = x.float_bounds()[0], y.float_bounds()[1]
-    return min([f.bound(x_lo, y_hi) for f in objectives])
 
 
 @lru_cache(maxsize=None)
@@ -269,8 +252,13 @@ def objective_cells(
     interval that contains them.  A degenerate region point on a table
     breakpoint produces one point-cell per adjacent piece pair, which
     realizes the upper-regularized (max over adjacent rows) reading of the
-    tables.  Each cell carries an upper bound on its objective from the
-    maxima of its pieces, an outward-rounded float (_cell_bound).
+    tables.  A cell in merged interval j carries an upper bound on its
+    objective: the least over its rows of the chord U_k + lam*(U_{k+1} -
+    U_k) between the row's knots for j around u = 1-t = (k + lam)/K (see
+    _Row.knot).  Every float step is rounded outward, and lam enters by its
+    upper end where the difference is >= 0 and by its lower end otherwise,
+    so the bound holds under python -O.  Point cells are bounded by inf: they
+    are never skipped, and are evaluated first.
     """
     theta = _as_theta(theta)
     atab, a_idx, astar_idx, bps, spans = _mode_grid(mode, pintz_max_n)
@@ -278,31 +266,39 @@ def objective_cells(
     region = feasible_region(atab, c)
     cells: list[SupCell] = []
     objectives: dict[_Row, _Moment] = {}  # by row, built once per theta
+    a, b = theta.numerator, theta.denominator
+    k = min((b - a) * K // b, K - 1)
+    lam = Fraction((b - a) * K - k * b, b)
+    lam_lo, lam_hi = float_down(lam), float_up(lam)
 
     def objective(row):
         if row not in objectives:
-            objectives[row] = _Moment(row, theta.numerator, theta.denominator)
+            objectives[row] = _Moment(row, a, b)
         return objectives[row]
 
-    def add_cell(x, y, a_rows, star_rows):
+    def chord(row, j):
+        lo, hi = bps[j], bps[j + 1]
+        u_k = row.knot(j, k, lo, hi)
+        if not lam:
+            return u_k
+        d = _up(row.knot(j, k + 1, lo, hi) - u_k)
+        return _up(u_k + _up(d * (lam_hi if d >= 0 else lam_lo)))
+
+    def add_cell(x, y, a_rows, star_rows, j):
         for ra in a_rows:
             if ra is None:
                 continue
-            l2 = objective(ra)
-            if refined:
-                for rs in star_rows:
-                    if rs is not None:
-                        pair = (l2, objective(rs))
-                        cells.append(_MuCell(x, y, pair, _cell_bound(x, y, pair)))
-            else:
-                cells.append(_MuCell(x, y, (l2,), _cell_bound(x, y, (l2,))))
+            combos = [(ra, rs) for rs in star_rows if rs is not None] if refined else [(ra,)]
+            for rows in combos:
+                bound = inf if j is None else min([chord(row, j) for row in rows])
+                cells.append(_MuCell(x, y, [objective(row) for row in rows], bound))
 
     for rlo, rhi in region:
         if rlo == rhi:
             add_cell(rlo, rhi, a_idx.covering(rlo, rhi),
-                     astar_idx.covering(rlo, rhi) if refined else ())
+                     astar_idx.covering(rlo, rhi) if refined else (), None)
             continue
-        # cell k lies in merged interval j0 - 1 + k
+        # cell i lies in merged interval j0 - 1 + i
         j0 = bisect_right(bps, rlo)
         cuts = [rlo, *bps[j0 : bisect_left(bps, rhi)], rhi]
         for j, (x, y) in enumerate(zip(cuts, cuts[1:]), j0 - 1):
@@ -310,7 +306,7 @@ def objective_cells(
             if not 0 <= j < len(spans):
                 raise DomainMismatch(f"no table row covers [{x}, {y}]")
             ka, ks = spans[j]
-            add_cell(x, y, [a_idx.row(ka)], [astar_idx.row(ks)] if refined else ())
+            add_cell(x, y, [a_idx.row(ka)], [astar_idx.row(ks)] if refined else (), j)
     return cells
 
 

@@ -1,6 +1,6 @@
 from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
-from math import inf
+from math import floor, inf, nextafter
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from shortintervals import mu, optimize, piecewise, polys
 from shortintervals.errors import DomainMismatch, OutOfDomain
-from shortintervals.exact import BoundaryPoint
+from shortintervals.exact import BoundaryPoint, float_down, float_up
 from shortintervals.mu import (
     gap_exponent,
     mu2,
@@ -208,25 +208,43 @@ def test_uncovered_cell_raises(monkeypatch):
             mu.objective_cells(F(1, 4))
 
 
+def _chord_bound(rows, j, theta, bps):
+    """A span cell's bound rebuilt from its rows' knots for merged interval
+    j: the least U_k + lam*(U_{k+1} - U_k) over the rows, at
+    1-theta = (k + lam)/K, each float step rounded outward."""
+    u = (1 - theta) * mu.K
+    k = min(floor(u), mu.K - 1)
+    lam = u - k
+    chords = []
+    for row in rows:
+        low = row.knot(j, k, bps[j], bps[j + 1])
+        if lam:
+            d = nextafter(row.knot(j, k + 1, bps[j], bps[j + 1]) - low, inf)
+            step = float_up(lam) if d >= 0 else float_down(lam)
+            low = nextafter(low + nextafter(d * step, inf), inf)
+        chords.append(low)
+    return min(chords)
+
+
 def _cells_by_covering(theta, mode, refined):
     """objective_cells as (lo, hi, objectives, bound), with the rows of every
-    cell looked up by _PieceIndex.covering instead of the precompiled spans."""
+    cell looked up by _PieceIndex.covering instead of the precompiled spans,
+    and a span cell's merged interval found by bisection."""
     atab, a_idx, astar_idx, bps, _ = mu._mode_grid(mode, DEFAULT_PINTZ_MAX_N)
     out = []
     for rlo, rhi in feasible_region(atab, 1 / (1 - theta)):
         cuts = [rlo, *bps[bisect_right(bps, rlo) : bisect_left(bps, rhi)], rhi]
         for x, y in [(rlo, rhi)] if rlo == rhi else zip(cuts, cuts[1:]):
+            j = None if x == y else bisect_right(bps, x) - 1
             for ra in a_idx.covering(x, y):
                 if ra is None:
                     continue
-                l2 = mu._Moment(ra, theta.numerator, theta.denominator)
-                if not refined:
-                    out.append((x, y, [l2], mu._cell_bound(x, y, [l2])))
-                    continue
-                for rs in astar_idx.covering(x, y):
-                    if rs is not None:
-                        l4 = mu._Moment(rs, theta.numerator, theta.denominator)
-                        out.append((x, y, [l2, l4], mu._cell_bound(x, y, [l2, l4])))
+                combos = [[ra, rs] for rs in astar_idx.covering(x, y) if rs is not None] \
+                    if refined else [[ra]]
+                for rows in combos:
+                    bound = inf if j is None else _chord_bound(rows, j, theta, bps)
+                    objs = [mu._Moment(row, theta.numerator, theta.denominator) for row in rows]
+                    out.append((x, y, objs, bound))
     return out
 
 
@@ -236,11 +254,16 @@ def test_spans_match_covering(mode):
     # finds inside it, and the cells built from them are those built by lookup
     _, a_idx, astar_idx, bps, spans = mu._mode_grid(mode, DEFAULT_PINTZ_MAX_N)
     assert len(spans) == len(bps) - 1
-    for (ka, ks), x, y in zip(spans, bps, bps[1:]):
+    for j, ((ka, ks), x, y) in enumerate(zip(spans, bps, bps[1:])):
         a = rational_between(x, y)
         b = rational_between(a, y)
         (ra,), (rs,) = a_idx.covering(a, b), astar_idx.covering(a, b)
         assert a_idx.row(ka) is ra and astar_idx.row(ks) is rs
+        # U_0 is m*y - (m-1) rounded up; no cell uses it, as every region
+        # is empty for u = 1-theta below 1/max(A) = 13/30
+        for row in (ra, rs):
+            if row is not None:
+                assert 0 <= F(row.knot(j, 0, x, y)) - (row.m * y - (row.m - 1)) <= F(1, 10**15)
     for theta in (F(1, 10), F(1, 3), F(1, 2), F(17, 30), F(2, 3)):
         for refined in (True, False):
             got = [(c.lo, c.hi, c.objectives, c.bound)
@@ -371,6 +394,15 @@ def test_cell_bounds_are_sound_and_change_nothing(mode):
             assert a.witness == b.witness
 
 
+def _exact_span_max(rf, m, u, lo, hi):
+    """The maximum of u(1-s)P/Q + m*s - (m-1) over [lo, hi], exactly, from
+    the generic construction: at the ends and at the critical points."""
+    g, _ = _generic_objective(rf, m, 1 - u)
+    crit = ptrim(psub(pmul(pderiv(g.num), g.den), pmul(g.num, pderiv(g.den))))
+    roots = polys.roots_in_closed_interval(crit, lo, hi) if crit else []
+    return max([g.eval_exact(x) for x in [lo, hi, *(r.point for r in roots)]])
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(theta=st.fractions(min_value=F(1, 1000), max_value=F(999, 1000), max_denominator=10**9),
        mode=st.sampled_from([UNC, DH, LH, RH]))
@@ -381,23 +413,58 @@ def test_cell_bounds_are_sound_and_change_nothing(mode):
 @example(theta=F(1, 3**50), mode=RH)
 @example(theta=F(17, 30), mode=UNC)  # a point region [7/10, 7/10]
 @example(theta=F(1, 2), mode=DH)
+@example(theta=F(1, 2), mode=UNC)  # lam = 0 at the knot k = 4
+@example(theta=F(7, 8), mode=UNC)  # lam = 0 at k = 1; EMPTY in every mode
+@example(theta=F(1, 8), mode=UNC)  # lam = 0 at k = 7, with cells
 def test_float_cell_bounds_dominate_the_exact_ones(theta, mode):
-    # each objective's float bound is at least the exact bound it stands for,
-    # (1-t)*top*(1-x or 1-y) + m*y - (m-1) with the piece's exact maximum top,
-    # taken at the exact (surd) cell ends; a cell's bound is their min
-    _, a_idx, astar_idx, _, _ = mu._mode_grid(mode, DEFAULT_PINTZ_MAX_N)
+    # a span cell's float bound is at least the exact chord between its
+    # rows' knots, U_k + lam*(U_{k+1} - U_k) with the exact lam and the
+    # knots' exact values; each knot is at least the exact maximum of its
+    # row's objective over the merged interval at u = k/K; point cells are
+    # bounded by inf
+    _, a_idx, astar_idx, bps, _ = mu._mode_grid(mode, DEFAULT_PINTZ_MAX_N)
+    u = (1 - theta) * mu.K
+    k = min(floor(u), mu.K - 1)
+    lam = u - k
+    checked = set()
     for refined in (True, False):
         cells = mu.objective_cells(theta, mode, refined)
-        tops = {id(row): index.pw.piece_max(k)
-                for index in (a_idx, astar_idx) for k, row in index.rows.items() if row}
+        rfs = {id(row): (index.pw.pieces[i].rf, index.m)
+               for index in (a_idx, astar_idx) for i, row in index.rows.items() if row}
         for cell in cells:
-            x, y = cell.lo, cell.hi
-            own = [mu._cell_bound(x, y, (f,)) for f in cell.objectives]
-            assert cell.bound == min(own)
-            for f, bound in zip(cell.objectives, own):
-                m, t = f.row.m, (1 - theta) * tops[id(f.row)]
-                tail = m * y - (m - 1)
-                head = t * (1 - x) if t >= 0 else t * (1 - y)
-                # bound - tail >= head is bound >= head + tail without
-                # adding surds of two fields
-                assert F(bound) - tail >= head
+            if cell.lo == cell.hi:
+                assert cell.bound == inf
+                continue
+            j = bisect_right(bps, cell.lo) - 1
+            lo, hi = bps[j], bps[j + 1]
+            chords = []
+            for f in cell.objectives:
+                used = [k, k + 1] if lam else [k]
+                knots = [F(f.row._knots[j, i]) for i in used]
+                chords.append(knots[0] + lam * (knots[-1] - knots[0]))
+                for i, knot in zip(used, knots):
+                    if (id(f.row), j, i) not in checked:
+                        checked.add((id(f.row), j, i))
+                        assert knot >= _exact_span_max(*rfs[id(f.row)], F(i, mu.K), lo, hi)
+            assert F(cell.bound) >= min(chords)
+
+
+@pytest.mark.parametrize("mode, budget", [(UNC, 330), (DH, 320)], ids=["unconditional", "dh"])
+def test_chord_bounds_rule_out_most_cells(monkeypatch, mode, budget):
+    # with the knots warm, the refined bound on a 200-point grid evaluates
+    # at most a third of the cells that bounds from the piece maxima did
+    # (993 unconditional, 952 under DH)
+    grid = theta_grid(F(1, 1000), F(999, 1000), 199)
+    for theta in grid:
+        mu_upper(theta, mode)
+    evaluated = []
+    cell_sup = optimize._cell_sup
+
+    def counting(cell, *args):
+        evaluated.append(cell)
+        return cell_sup(cell, *args)
+
+    monkeypatch.setattr(optimize, "_cell_sup", counting)
+    for theta in grid:
+        mu_upper(theta, mode)
+    assert len(evaluated) <= budget

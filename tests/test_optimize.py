@@ -109,9 +109,12 @@ def test_hand_built_cell_with_a_pole_raises(objectives):
 
 
 def test_hand_built_cell_with_a_pole_raises_under_optimize_flag():
+    # also mu's chord bounds, which hold without assert: at theta = 1/3 the
+    # cells' chords run between knots (lam = 1/3), at 1/2 they are knots
     code = (
         "from fractions import Fraction as F\n"
         "from shortintervals.errors import DenominatorVanishes\n"
+        "from shortintervals.mu import mu_upper\n"
         "from shortintervals.optimize import SupCell, certified_sup\n"
         "from shortintervals.piecewise import RationalFunction as R\n"
         "cases = [[R((F(1),), (F(-1, 2), F(1)))], [R((F(1),), (F(-1), F(1)))],\n"
@@ -123,6 +126,10 @@ def test_hand_built_cell_with_a_pole_raises_under_optimize_flag():
         "    except DenominatorVanishes:\n"
         "        continue\n"
         "    raise SystemExit(1)\n"
+        "for theta, value in ((F(1, 3), F(9, 10)), (F(1, 2), F(183, 260))):\n"
+        "    res = mu_upper(theta)\n"
+        "    if not F(res.lower) <= value <= F(res.upper) or res.upper - res.lower > 1e-9:\n"
+        "        raise SystemExit(2)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
